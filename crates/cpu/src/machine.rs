@@ -738,6 +738,18 @@ impl Machine {
     /// observes execution without influencing it, so a machine restored
     /// without a profile replays the exact same cycle-by-cycle schedule.
     pub fn snapshot(&self) -> MachineSnapshot {
+        self.snapshot_with(self.mem.snapshot())
+    }
+
+    /// [`Machine::snapshot`] with physical memory captured incrementally
+    /// from `base` (see [`PhysMem::snapshot_from`]): `changed` must hold
+    /// every page written since `base` was captured from this machine's
+    /// run. Pages outside it are shared with `base`.
+    pub fn snapshot_from(&self, base: &MachineSnapshot, changed: &PageSet) -> MachineSnapshot {
+        self.snapshot_with(self.mem.snapshot_from(&base.mem, changed))
+    }
+
+    fn snapshot_with(&self, mem: MemSnapshot) -> MachineSnapshot {
         MachineSnapshot {
             isa: self.isa,
             cost: self.cost,
@@ -745,7 +757,7 @@ impl Machine {
             dtext: Arc::clone(&self.dtext),
             text_base: self.text_base,
             cores: self.cores.clone(),
-            mem: self.mem.snapshot(),
+            mem,
             caches: self.caches.clone(),
         }
     }

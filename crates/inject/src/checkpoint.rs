@@ -115,10 +115,20 @@ impl CheckpointSet {
             match kernel.run_until_machine_cycle(mark, limits) {
                 Some(done) => break done,
                 None => {
+                    // The pages written since the previous rung are all
+                    // that can differ from its image: build this rung
+                    // from that rung, sharing every other page. The
+                    // previous capture is always the last rung, since
+                    // thinning keeps the newest one.
+                    let dirty_since_prev = kernel.machine_mut().mem.take_dirty();
+                    let snap = match snaps.last() {
+                        Some(prev) => kernel.snapshot_from(&prev.snap, &dirty_since_prev),
+                        None => kernel.snapshot(),
+                    };
                     snaps.push(Checkpoint {
                         mark,
-                        snap: kernel.snapshot(),
-                        dirty_since_prev: kernel.machine_mut().mem.take_dirty(),
+                        snap,
+                        dirty_since_prev,
                     });
                     if snaps.len() == cap {
                         // Drop the 1st, 3rd, 5th, … snapshot: the
@@ -144,6 +154,12 @@ impl CheckpointSet {
             steps: kernel.steps(),
         });
         (outcome, CheckpointSet { snaps, golden })
+    }
+
+    /// The ladder's rungs in capture order: each machine-cycle mark with
+    /// the snapshot taken there.
+    pub fn rungs(&self) -> impl Iterator<Item = (u64, &KernelSnapshot)> {
+        self.snaps.iter().map(|c| (c.mark, &c.snap))
     }
 
     /// The latest checkpoint whose `core` clock is *strictly* before

@@ -40,7 +40,7 @@ use crate::{CheckpointSet, Fault, Outcome};
 use fracas_kernel::{Limits, RunReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -166,10 +166,14 @@ fn config_fingerprint(config: &CampaignConfig) -> u64 {
 /// sweep crash-safe resume: every finished batch is flushed to disk, and
 /// a restarted sweep replays the file instead of re-running the work.
 ///
-/// A torn trailing line (the signature of a mid-write kill) is
-/// tolerated: replay stops at the first malformed line.
+/// A line counts once its terminating newline is on disk. A torn
+/// trailing line (the signature of a mid-write kill) is tolerated:
+/// replay stops at the first line that is unterminated or does not
+/// parse, and the file is cut back to the end of the replayed prefix
+/// before anything is appended, so the next record starts on a line of
+/// its own.
 pub struct RecordSink {
-    file: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
+    file: Option<Mutex<Box<dyn Write + Send>>>,
     preloaded: HashMap<String, Vec<InjectionRecord>>,
     preloaded_audits: HashMap<String, Vec<AuditEntry>>,
 }
@@ -189,25 +193,30 @@ impl RecordSink {
     /// campaign configuration.
     ///
     /// An existing file whose header fingerprint matches `config` is
-    /// replayed for resume and then appended to; a mismatching or
-    /// unreadable file is truncated and restarted, because its records
-    /// were produced under different sampling parameters.
+    /// replayed for resume, cut back to its last complete line and then
+    /// appended to; a mismatching or unreadable file is truncated and
+    /// restarted, because its records were produced under different
+    /// sampling parameters.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from opening or creating the file.
+    /// Returns any I/O error from opening, cutting or creating the file.
     pub fn open(path: &Path, config: &CampaignConfig) -> std::io::Result<RecordSink> {
         let fingerprint = config_fingerprint(config);
         let mut preloaded: HashMap<String, Vec<InjectionRecord>> = HashMap::new();
         let mut preloaded_audits: HashMap<String, Vec<AuditEntry>> = HashMap::new();
-        let mut resume = false;
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-            let header: Option<SinkHeader> =
-                lines.next().and_then(|l| serde_json::from_str(l).ok());
-            if header.is_some_and(|h| h.fp == fingerprint) {
-                resume = true;
-                for line in lines {
+        // Byte length of the replayed prefix, when the file is resumed.
+        let mut resume_len: Option<u64> = None;
+        if let Ok(bytes) = std::fs::read(path) {
+            let mut lines = bytes.split_inclusive(|&b| b == b'\n').map_while(|line| {
+                let text = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
+                Some((line.len() as u64, text))
+            });
+            let header = lines
+                .next()
+                .and_then(|(len, l)| Some((len, serde_json::from_str::<SinkHeader>(l).ok()?)));
+            if let Some((mut len, _)) = header.filter(|(_, h)| h.fp == fingerprint) {
+                for (line_len, line) in lines {
                     // A torn tail from a crash parses as an error: stop
                     // replaying there and re-run the remainder.
                     let Ok(parsed) = serde_json::from_str::<SinkLine>(line) else {
@@ -219,11 +228,15 @@ impl RecordSink {
                     if let Some(a) = parsed.a {
                         preloaded_audits.entry(parsed.w).or_default().push(a);
                     }
+                    len += line_len;
                 }
+                resume_len = Some(len);
             }
         }
-        let mut file = if resume {
-            std::fs::OpenOptions::new().append(true).open(path)?
+        let mut file = if let Some(len) = resume_len {
+            let file = std::fs::OpenOptions::new().append(true).open(path)?;
+            file.set_len(len)?;
+            file
         } else {
             let mut f = std::fs::File::create(path)?;
             writeln!(
@@ -236,7 +249,7 @@ impl RecordSink {
         };
         file.flush()?;
         Ok(RecordSink {
-            file: Some(Mutex::new(std::io::BufWriter::new(file))),
+            file: Some(Mutex::new(Box::new(file))),
             preloaded,
             preloaded_audits,
         })
@@ -256,9 +269,13 @@ impl RecordSink {
     /// its audit entry, in the same write) and flushes, so a kill at
     /// any later instant cannot lose them — and can never keep a record
     /// while losing its audit entry.
-    fn append(&self, id: &str, batch: &[(Option<AuditEntry>, InjectionRecord)]) {
+    fn append(
+        &self,
+        id: &str,
+        batch: &[(Option<AuditEntry>, InjectionRecord)],
+    ) -> std::io::Result<()> {
         let Some(file) = &self.file else {
-            return;
+            return Ok(());
         };
         let mut out = String::new();
         let mut push = |line: &SinkLine| {
@@ -280,8 +297,8 @@ impl RecordSink {
             });
         }
         let mut file = file.lock().expect("no poisoned sink lock");
-        let _ = file.write_all(out.as_bytes());
-        let _ = file.flush();
+        file.write_all(out.as_bytes())?;
+        file.flush()
     }
 }
 
@@ -396,6 +413,7 @@ fn advance_commit(slots: &mut Slots, config: &FleetConfig, stop_at: &AtomicUsize
 /// `config.campaign`.
 pub fn run_fleet(workloads: &[Workload], config: &FleetConfig) -> Vec<CampaignResult> {
     run_fleet_with(workloads, config, &mut RecordSink::disabled(), &inject_one)
+        .expect("a disabled sink never fails")
 }
 
 /// [`run_fleet`] streaming records through (and resuming from) the sink
@@ -406,35 +424,46 @@ pub fn run_fleet(workloads: &[Workload], config: &FleetConfig) -> Vec<CampaignRe
 ///
 /// # Errors
 ///
-/// Returns any I/O error from opening or creating the sink file.
+/// Returns any I/O error from opening or creating the sink file, and
+/// the first error from writing records to it (see [`run_fleet_with`]).
 pub fn run_fleet_with_sink(
     workloads: &[Workload],
     config: &FleetConfig,
     path: &Path,
 ) -> std::io::Result<Vec<CampaignResult>> {
     let mut sink = RecordSink::open(path, &config.campaign)?;
-    Ok(run_fleet_with(workloads, config, &mut sink, &inject_one))
+    run_fleet_with(workloads, config, &mut sink, &inject_one)
 }
 
 /// The orchestrator core with an explicit injection primitive and sink
 /// (exposed for the panic-isolation and differential test suites;
 /// production entry points are [`run_fleet`] / [`run_fleet_with_sink`]).
+///
+/// # Errors
+///
+/// Returns the first error from writing records to `sink`. Workers stop
+/// claiming jobs once a write failed, so a full disk fails the sweep
+/// instead of silently ending its persistence.
 pub fn run_fleet_with(
     workloads: &[Workload],
     config: &FleetConfig,
     sink: &mut RecordSink,
     injector: &Injector,
-) -> Vec<CampaignResult> {
+) -> std::io::Result<Vec<CampaignResult>> {
     let states: Vec<WorkloadState> = workloads.iter().map(WorkloadState::new).collect();
     let threads = resolve_threads(config.campaign.threads);
     let sweep_started = Instant::now();
+    let sink_error: OnceLock<std::io::Error> = OnceLock::new();
 
     std::thread::scope(|scope| {
         for worker in 0..threads {
-            let (states, sink) = (&states, &*sink);
-            scope.spawn(move || worker_loop(states, config, sink, injector, worker));
+            let (states, sink, sink_error) = (&states, &*sink, &sink_error);
+            scope.spawn(move || worker_loop(states, config, sink, sink_error, injector, worker));
         }
     });
+    if let Some(e) = sink_error.into_inner() {
+        return Err(e);
+    }
 
     let elapsed = sweep_started.elapsed().as_secs_f64();
     let results: Vec<CampaignResult> = states
@@ -449,21 +478,23 @@ pub fn run_fleet_with(
             injections as f64 / elapsed.max(1e-9),
         );
     }
-    results
+    Ok(results)
 }
 
 /// One worker of the shared pool: repeatedly claims the next available
 /// job — a pending golden run or an injection batch of *any* workload —
-/// until no workload can produce further work.
+/// until no workload can produce further work or a sink write failed
+/// (the first failure is kept in `sink_error`).
 fn worker_loop(
     states: &[WorkloadState],
     config: &FleetConfig,
     sink: &RecordSink,
+    sink_error: &OnceLock<std::io::Error>,
     injector: &Injector,
     worker: usize,
 ) {
     let batch = config.campaign.batch.max(1);
-    loop {
+    while sink_error.get().is_none() {
         let mut golden_in_flight = false;
         let mut claimed = false;
         for k in 0..states.len() {
@@ -489,7 +520,11 @@ fn worker_loop(
             if start >= golden.faults.len().min(stop_at) {
                 continue;
             }
-            run_injection_batch(state, golden, config, sink, injector, start, batch);
+            if let Err(e) = run_injection_batch(state, golden, config, sink, injector, start, batch)
+            {
+                let _ = sink_error.set(e);
+                return;
+            }
             claimed = true;
             break;
         }
@@ -581,6 +616,10 @@ fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink
 /// Executes one injection batch `[start, start + batch)`, skipping
 /// indices already replayed from the sink, then commits the records,
 /// streams the new ones to the sink and emits progress.
+///
+/// # Errors
+///
+/// Returns the error from writing the batch to the sink.
 fn run_injection_batch(
     state: &WorkloadState,
     golden: &GoldenJob,
@@ -589,7 +628,7 @@ fn run_injection_batch(
     injector: &Injector,
     start: usize,
     batch: usize,
-) {
+) -> std::io::Result<()> {
     let campaign = &config.campaign;
     let end = (start + batch).min(golden.faults.len());
     let have: Vec<bool> = {
@@ -669,10 +708,11 @@ fn run_injection_batch(
         (slots.committed, slots.prefix)
     };
     state.injected.fetch_add(fresh.len(), Ordering::Relaxed);
-    sink.append(&state.workload.id, &fresh);
+    sink.append(&state.workload.id, &fresh)?;
     if config.progress {
         emit_progress(state, golden, committed, prefix);
     }
+    Ok(())
 }
 
 /// Prints a per-workload progress line (rate, ETA, running tally), at
@@ -863,6 +903,44 @@ mod tests {
             config_fingerprint(&classed),
             config_fingerprint(&classed_audited)
         );
+    }
+
+    /// A writer standing in for a full disk: every write fails.
+    struct FullDisk;
+
+    impl Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("no space left on device"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn sink_write_failure_fails_the_sweep() {
+        let scenario = fracas_npb::Scenario::new(
+            fracas_npb::App::Is,
+            fracas_npb::Model::Serial,
+            1,
+            fracas_isa::IsaKind::Sira64,
+        )
+        .expect("scenario exists");
+        let workload = Workload::from_scenario(&scenario).expect("build");
+        let config = FleetConfig {
+            campaign: CampaignConfig {
+                faults: 4,
+                ..CampaignConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let mut sink = RecordSink {
+            file: Some(Mutex::new(Box::new(FullDisk))),
+            ..RecordSink::disabled()
+        };
+        let err = run_fleet_with(&[workload], &config, &mut sink, &inject_one)
+            .expect_err("a failed sink write must fail the sweep");
+        assert_eq!(err.to_string(), "no space left on device");
     }
 
     #[test]

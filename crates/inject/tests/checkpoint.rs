@@ -7,7 +7,7 @@ use fracas_inject::{
     CheckpointSet, Workload,
 };
 use fracas_isa::IsaKind;
-use fracas_kernel::Limits;
+use fracas_kernel::{Kernel, Limits};
 use fracas_npb::{App, Model, Scenario};
 
 /// Compares checkpoint-resumed against boot-replayed injections for one
@@ -58,6 +58,49 @@ fn assert_bit_identical(app: App, model: Model, cores: u32, faults: usize) {
         "{}: no fault resumed from a checkpoint",
         workload.id
     );
+}
+
+/// Every rung of a captured ladder — all but the first built
+/// incrementally from its predecessor's pages — must equal the complete
+/// state of a fresh kernel booted and run to that rung's mark.
+fn assert_rungs_match_fresh_runs(app: App, model: Model, cores: u32) {
+    let scenario = Scenario::new(app, model, cores, IsaKind::Sira64).unwrap();
+    let workload = Workload::from_scenario(&scenario).unwrap();
+    let (_, _, checkpoints) = golden_run_with_checkpoints(&workload, 8);
+    assert!(
+        checkpoints.len() >= 2,
+        "{}: the ladder needs incremental rungs",
+        workload.id
+    );
+    let limits = Limits::default();
+    let mut fresh = Kernel::boot(&workload.image, workload.cores, workload.spec);
+    for (rung, (mark, snap)) in checkpoints.rungs().enumerate() {
+        assert!(
+            fresh.run_until_machine_cycle(mark, &limits).is_none(),
+            "{}: fresh run ended before mark {mark}",
+            workload.id
+        );
+        assert!(
+            fresh.state_matches(snap),
+            "{}: rung {rung} (mark {mark}) differs from a fresh run",
+            workload.id
+        );
+    }
+}
+
+#[test]
+fn serial_ladder_rungs_match_fresh_runs() {
+    assert_rungs_match_fresh_runs(App::Is, Model::Serial, 1);
+}
+
+#[test]
+fn omp_ladder_rungs_match_fresh_runs() {
+    assert_rungs_match_fresh_runs(App::Is, Model::Omp, 2);
+}
+
+#[test]
+fn mpi_ladder_rungs_match_fresh_runs() {
+    assert_rungs_match_fresh_runs(App::Is, Model::Mpi, 2);
 }
 
 #[test]

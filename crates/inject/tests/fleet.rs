@@ -9,6 +9,8 @@ use fracas_inject::{
 use fracas_isa::IsaKind;
 use fracas_npb::{App, Model, Scenario};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn workload(app: App, model: Model, cores: u32, isa: IsaKind) -> Workload {
     let scenario = Scenario::new(app, model, cores, isa).expect("scenario exists");
@@ -144,6 +146,101 @@ fn sweep_resumes_bit_identically_from_truncated_sink() {
         .map(fracas_inject::CampaignResult::to_json)
         .collect();
     assert_eq!(replayed, full);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The sink's text cut inside line `line` (0 = header): every earlier
+/// line intact, then the first 7 bytes of that line — a kill mid-write.
+fn torn_at(text: &str, line: usize) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut torn: String = lines[..line].iter().map(|l| format!("{l}\n")).collect();
+    torn.push_str(&lines[line][..7]);
+    torn
+}
+
+/// One record line of the sink, as the fleet writes it.
+#[derive(serde::Deserialize)]
+struct RecordLine {
+    w: String,
+    r: fracas_inject::InjectionRecord,
+}
+
+/// Resumes the sweep from the sink at `path`, returning the databases
+/// and how many injections had to execute (the rest were replayed).
+fn resume_counting(
+    workloads: &[Workload],
+    config: &FleetConfig,
+    path: &std::path::Path,
+) -> (Vec<String>, usize) {
+    let executed = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&executed);
+    let mut sink = RecordSink::open(path, &config.campaign).expect("sink opens");
+    let results = run_fleet_with(
+        workloads,
+        config,
+        &mut sink,
+        &move |wl, fault, cps, limits| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            inject_one(wl, fault, cps, limits)
+        },
+    )
+    .expect("sink writes");
+    let dbs = results
+        .iter()
+        .map(fracas_inject::CampaignResult::to_json)
+        .collect();
+    (dbs, executed.load(Ordering::Relaxed))
+}
+
+#[test]
+fn repeated_torn_kills_replay_every_complete_record() {
+    let workloads = vec![
+        workload(App::Is, Model::Serial, 1, IsaKind::Sira64),
+        workload(App::Ep, Model::Serial, 1, IsaKind::Sira64),
+    ];
+    let config = FleetConfig {
+        campaign: mini_config(20),
+        ..FleetConfig::default()
+    };
+    let records = 2 * 20;
+    let path = temp_sink("double-kill");
+    let _ = std::fs::remove_file(&path);
+    let full: Vec<String> = run_fleet_with_sink(&workloads, &config, &path)
+        .expect("sink opens")
+        .iter()
+        .map(fracas_inject::CampaignResult::to_json)
+        .collect();
+    let complete = std::fs::read_to_string(&path).expect("sink readable");
+    assert_eq!(complete.lines().count(), 1 + records);
+
+    // Kill, cut into the tail, resume; then kill and cut again further
+    // on (the resumed sink's own appended lines), and resume once more.
+    // Each resume must replay every complete record line — only the
+    // torn one and those after it execute — and leave a sink of whole,
+    // well-formed lines that reproduces the databases byte for byte.
+    for line in [records / 3, 3 * records / 4] {
+        let text = std::fs::read_to_string(&path).expect("sink readable");
+        std::fs::write(&path, torn_at(&text, line)).expect("cut sink");
+        let (resumed, executed) = resume_counting(&workloads, &config, &path);
+        assert_eq!(resumed, full, "resumed databases must be bit-identical");
+        assert_eq!(
+            executed,
+            records - (line - 1),
+            "every complete record before line {line} must be replayed"
+        );
+        let sink = std::fs::read_to_string(&path).expect("sink readable");
+        assert!(sink.ends_with('\n'));
+        assert_eq!(sink.lines().count(), 1 + records, "one line per record");
+        let mut seen = std::collections::HashSet::new();
+        for (i, l) in sink.lines().enumerate().skip(1) {
+            let parsed: RecordLine = serde_json::from_str(l)
+                .unwrap_or_else(|e| panic!("malformed sink line {i} ({e}): {l}"));
+            assert!(
+                seen.insert((parsed.w, parsed.r.index)),
+                "duplicate line {i}"
+            );
+        }
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -400,7 +497,8 @@ fn panicking_injection_does_not_poison_the_fleet() {
             assert!(*fault != poison, "worker panics on the poisoned fault");
             inject_one(wl, fault, cps, limits)
         },
-    );
+    )
+    .expect("a disabled sink never fails");
     for (i, (a, b)) in clean.iter().zip(&faulty).enumerate() {
         if i == 1 {
             assert_eq!(b.tally.anomaly, 1, "{}", b.id);

@@ -389,8 +389,21 @@ impl Kernel {
     /// replays the exact tick sequence the original kernel would have
     /// executed, producing bit-identical [`RunReport`]s.
     pub fn snapshot(&self) -> KernelSnapshot {
+        self.snapshot_with(self.machine.snapshot())
+    }
+
+    /// [`Kernel::snapshot`] with physical memory captured incrementally
+    /// from `base`, an earlier snapshot of this run: `changed` must hold
+    /// every page written since `base` was captured. Pages outside it
+    /// are shared with `base` instead of copied (see
+    /// [`fracas_mem::PhysMem::snapshot_from`]).
+    pub fn snapshot_from(&self, base: &KernelSnapshot, changed: &PageSet) -> KernelSnapshot {
+        self.snapshot_with(self.machine.snapshot_from(&base.machine, changed))
+    }
+
+    fn snapshot_with(&self, machine: MachineSnapshot) -> KernelSnapshot {
         KernelSnapshot {
-            machine: self.machine.snapshot(),
+            machine,
             spec: self.spec,
             alloc: self.alloc.clone(),
             procs: self.procs.clone(),
