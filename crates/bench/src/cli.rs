@@ -302,11 +302,9 @@ impl SweepOpts {
     /// suffix appended.
     #[must_use]
     pub fn sink_path(&self, db: &Path) -> PathBuf {
-        self.sink.clone().unwrap_or_else(|| {
-            let mut p = db.to_path_buf().into_os_string();
-            p.push(".wal");
-            PathBuf::from(p)
-        })
+        self.sink
+            .clone()
+            .unwrap_or_else(|| crate::with_suffix(db, ".wal"))
     }
 }
 

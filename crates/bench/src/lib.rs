@@ -34,6 +34,7 @@
 use fracas::inject::{CampaignConfig, CampaignResult, FleetConfig, Workload};
 use fracas::mine::{parse_id, Database};
 use fracas::npb::Scenario;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -50,14 +51,7 @@ pub fn db_path() -> PathBuf {
 /// The in-flight record-sink path from `FRACAS_SINK` (default: the
 /// database path with a `.wal` suffix appended).
 pub fn sink_path() -> PathBuf {
-    std::env::var_os("FRACAS_SINK").map_or_else(
-        || {
-            let mut p = db_path().into_os_string();
-            p.push(".wal");
-            PathBuf::from(p)
-        },
-        PathBuf::from,
-    )
+    std::env::var_os("FRACAS_SINK").map_or_else(|| with_suffix(&db_path(), ".wal"), PathBuf::from)
 }
 
 /// The campaign configuration from the environment, with the harness
@@ -97,12 +91,14 @@ pub fn ensure_db(scenarios: &[Scenario]) -> Database {
 /// The orchestrated sweep behind [`ensure_db`] with explicit paths and
 /// configuration (the `sweep` binary's entry point): loads `db_path`,
 /// fleet-runs the missing scenarios with crash-safe resume through
-/// `sink`, saves the merged database and removes the consumed sink.
+/// `sink`, saves the merged database (via a synced `<db_path>.tmp`
+/// renamed over it) and only then removes the consumed sink.
 ///
 /// # Panics
 ///
 /// Panics if a bundled scenario fails to build, the database file is
-/// corrupt, or the sink file cannot be created.
+/// corrupt or cannot be saved, or the sink file cannot be opened (see
+/// [`fracas::inject::RecordSink::open`]).
 pub fn run_sweep(
     scenarios: &[Scenario],
     config: &FleetConfig,
@@ -209,16 +205,38 @@ pub fn run_sweep(
         );
         db.push(result);
     }
-    std::fs::write(db_path, db.to_json_lines())
-        .unwrap_or_else(|e| panic!("write {}: {e}", db_path.display()));
+    save_db(&db, db_path).unwrap_or_else(|e| panic!("write {}: {e}", db_path.display()));
     // The sink's records are now owned by the database.
-    let _ = std::fs::remove_file(sink);
+    match std::fs::remove_file(sink) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            eprintln!("could not remove consumed sink {}: {e}", sink.display());
+        }
+        _ => {}
+    }
     eprintln!(
         "sweep done in {:.1}s -> {}",
         start.elapsed().as_secs_f64(),
         db_path.display()
     );
     db
+}
+
+/// Writes `db` to `<db_path>.tmp`, syncs it and renames it over
+/// `db_path`, so a kill at any instant leaves either the old database or
+/// the new one, never a torn file.
+fn save_db(db: &Database, db_path: &Path) -> std::io::Result<()> {
+    let tmp = with_suffix(db_path, ".tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(db.to_json_lines().as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, db_path)
+}
+
+/// `path` with `suffix` appended to its file name.
+pub(crate) fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut p = path.as_os_str().to_owned();
+    p.push(suffix);
+    PathBuf::from(p)
 }
 
 /// All scenarios of one ISA.
@@ -256,6 +274,37 @@ mod tests {
         if std::env::var_os("FRACAS_FAULTS").is_none() {
             assert_eq!(config().faults, 60);
         }
+    }
+
+    #[test]
+    fn sweep_saves_whole_database_and_consumes_sink() {
+        let dir = std::env::temp_dir().join(format!("fracas-bench-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let db = dir.join("db.jsonl");
+        let (tmp, sink) = (with_suffix(&db, ".tmp"), with_suffix(&db, ".wal"));
+        // A temp file left by a save killed mid-write is replaced whole.
+        std::fs::write(&tmp, "torn").expect("write temp");
+        let scenario = Scenario::new(
+            fracas::npb::App::Is,
+            fracas::npb::Model::Serial,
+            1,
+            fracas::isa::IsaKind::Sira64,
+        )
+        .expect("scenario exists");
+        let config = FleetConfig {
+            campaign: CampaignConfig {
+                faults: 2,
+                ..CampaignConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let swept = run_sweep(&[scenario], &config, &db, &sink);
+        let text = std::fs::read_to_string(&db).expect("database saved");
+        assert_eq!(text, swept.to_json_lines());
+        assert_eq!(Database::from_json_lines(&text).expect("parses").len(), 1);
+        assert!(!tmp.exists(), "the temp file is renamed over the database");
+        assert!(!sink.exists(), "the consumed sink is removed");
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

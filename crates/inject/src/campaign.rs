@@ -1,15 +1,14 @@
 //! Campaign orchestration: golden runs, parallel injection jobs and the
 //! merged result database (workflow phases 1–4 of §3.2.3/§3.2.4).
 
-use crate::{classify, CheckpointSet, Fault, FaultSpace, Outcome};
+use crate::{CheckpointSet, Fault, FaultSpace, Outcome};
 use fracas_isa::Image;
 use fracas_kernel::{BootSpec, Kernel, Limits, RunReport};
 use fracas_npb::Scenario;
 use fracas_rt::BuildError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// A bootable workload: the unit a campaign runs against.
 #[derive(Debug, Clone)]
@@ -554,74 +553,6 @@ pub(crate) fn golden_run_traced(
     (kernel.report(), profile, set, trace)
 }
 
-/// Everything a campaign's prune modes decided about its fault list:
-/// the verdict table (dead-value short circuits), the optional
-/// equivalence-class plan and the unmodeled-target accounting. Shared
-/// by [`run_campaign_with`] and the fleet orchestrator so both prune
-/// identically.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CampaignPlan {
-    /// `verdicts[i]` short-circuits fault `i` without execution. Empty
-    /// when every prune mode is off.
-    pub(crate) verdicts: Vec<Option<Outcome>>,
-    /// The class plan ([`CampaignConfig::prune_classes`]).
-    pub(crate) classes: Option<crate::ClassPlan>,
-    /// Faults whose targets the oracle does not model (always executed
-    /// for real; surfaced by the audit report).
-    pub(crate) unmodeled: crate::UnmodeledCounts,
-}
-
-/// Builds the [`CampaignPlan`] for a campaign. With
-/// [`CampaignConfig::prune_classes`] the verdict table is the class
-/// plan's own decided table — byte-identical to what
-/// [`CampaignConfig::prune_dead`] alone computes, which is what keeps
-/// the dead-value subset stable under composition.
-pub(crate) fn campaign_plan(
-    workload: &Workload,
-    config: &CampaignConfig,
-    trace: Option<&fracas_cpu::ExecTrace>,
-    faults: &[Fault],
-) -> CampaignPlan {
-    if config.prune_classes {
-        let trace = trace.expect("prune_classes golden runs are traced");
-        let plan = crate::classes::class_plan(workload, trace, faults);
-        CampaignPlan {
-            verdicts: plan.decided.clone(),
-            unmodeled: plan.stats().unmodeled,
-            classes: Some(plan),
-        }
-    } else if config.prune_dead {
-        let trace = trace.expect("prune_dead golden runs are traced");
-        let (verdicts, unmodeled) = crate::prune::prune_plan(workload, trace, faults);
-        CampaignPlan {
-            verdicts,
-            classes: None,
-            unmodeled,
-        }
-    } else {
-        CampaignPlan::default()
-    }
-}
-
-/// Synthesizes the record of a pruned injection: the fault provably
-/// never diverges the run, so cycles and instructions are the golden
-/// run's own. Byte-identical to what executing the fault would record.
-pub(crate) fn pruned_record(
-    golden: &RunReport,
-    fault: &Fault,
-    index: usize,
-    outcome: Outcome,
-) -> InjectionRecord {
-    InjectionRecord {
-        index: index as u32,
-        fault: *fault,
-        outcome,
-        cycles: golden.cycles,
-        instructions: golden.total_instructions(),
-        rep: None,
-    }
-}
-
 /// Executes one injection: resumes from the latest checkpoint strictly
 /// before the fault cycle (falling back to a fresh boot when none
 /// qualifies), runs to the injection point, lands the flip and runs the
@@ -686,11 +617,9 @@ pub(crate) fn campaign_seed(id: &str, base: u64) -> u64 {
         .wrapping_add(fnv(id.as_bytes()))
 }
 
-/// Samples the fault list for a workload (phase two), exactly as
-/// [`run_campaign`] does — the orchestrator shares this so its
-/// databases stay byte-identical. Public so differential suites can
-/// reconstruct a campaign's exact fault list from its golden cycle
-/// count.
+/// Samples the fault list for a workload (phase two). Public so
+/// differential suites can reconstruct a campaign's exact fault list
+/// from its golden cycle count.
 pub fn campaign_faults(
     workload: &Workload,
     config: &CampaignConfig,
@@ -713,260 +642,28 @@ pub(crate) fn campaign_limits(golden: &RunReport, config: &CampaignConfig) -> Li
     }
 }
 
-/// Resolves `threads: 0` to the host's available parallelism.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    } else {
-        threads
-    }
-}
-
-/// Assembles the merged database from the campaign's pieces — shared by
-/// [`run_campaign`] and the fleet orchestrator so both serialise the
-/// identical structure.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_result(
-    workload: &Workload,
-    config: &CampaignConfig,
-    golden: &RunReport,
-    profile: ProfileStats,
-    records: Vec<InjectionRecord>,
-    pruned: u64,
-    audit: Option<crate::OracleAuditReport>,
-    classes: Option<crate::ClassStats>,
-) -> CampaignResult {
-    let mut tally = Tally::default();
-    for r in &records {
-        tally.record(r.outcome);
-    }
-    CampaignResult {
-        id: workload.id.clone(),
-        faults: config.faults,
-        seed: config.seed,
-        golden: GoldenSummary {
-            cycles: golden.cycles,
-            instructions: golden.total_instructions(),
-            per_core_instructions: golden.per_core_instructions.clone(),
-        },
-        space_bits: workload.dims(config.space).total_bits(),
-        profile,
-        tally,
-        records,
-        pruned,
-        audit,
-        classes,
-    }
-}
-
-/// Runs one injection through `injector` with host-panic isolation: a
-/// panicking worker yields an [`Outcome::Anomaly`] record (zero cycles
-/// and instructions) instead of aborting the campaign and losing every
-/// completed record.
-pub(crate) fn inject_record(
-    injector: &dyn Fn(&Fault) -> RunReport,
-    golden: &RunReport,
-    fault: &Fault,
-    index: usize,
-) -> InjectionRecord {
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| injector(fault)));
-    match caught {
-        Ok(report) => InjectionRecord {
-            index: index as u32,
-            fault: *fault,
-            outcome: classify(golden, &report),
-            cycles: report.cycles,
-            instructions: report.total_instructions(),
-            rep: None,
-        },
-        Err(panic) => {
-            eprintln!(
-                "injection {index} panicked ({}); recording Anomaly",
-                panic_message(panic.as_ref())
-            );
-            InjectionRecord {
-                index: index as u32,
-                fault: *fault,
-                outcome: Outcome::Anomaly,
-                cycles: 0,
-                instructions: 0,
-                rep: None,
-            }
-        }
-    }
-}
-
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-    panic
-        .downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
-}
-
 /// Runs a full campaign: golden run, fault sampling, parallel batched
-/// injection, classification and merge.
+/// injection, classification and merge. This is a one-workload sweep
+/// through the fleet orchestrator ([`crate::run_fleet`]) with early
+/// stopping off, so it shares the fleet's per-fault dispatch and is
+/// byte-identical to that workload's database in any fleet sweep.
+///
+/// A golden run that does not exit cleanly does not panic: it yields
+/// the fleet's failed-workload result (zero golden reference, no
+/// records, every requested fault tallied as [`Outcome::Anomaly`]).
 pub fn run_campaign(workload: &Workload, config: &CampaignConfig) -> CampaignResult {
-    run_campaign_with(workload, config, &|workload, fault, checkpoints, limits| {
-        inject_one(workload, fault, checkpoints, limits)
-    })
+    let config = crate::FleetConfig {
+        campaign: config.clone(),
+        ..crate::FleetConfig::default()
+    };
+    crate::run_fleet(std::slice::from_ref(workload), &config)
+        .pop()
+        .expect("one workload, one result")
 }
 
-/// The injection primitive a campaign or fleet drives: produces the
-/// faulty [`RunReport`] for one fault. Production code always uses
-/// [`inject_one`]; tests substitute misbehaving injectors to exercise
-/// the panic-isolation path.
-pub type Injector = dyn Fn(&Workload, &Fault, &CheckpointSet, &Limits) -> RunReport + Sync;
-
-/// [`run_campaign`] with an explicit injection primitive (exposed for
-/// the fault-handling and differential test suites).
-pub fn run_campaign_with(
-    workload: &Workload,
-    config: &CampaignConfig,
-    injector: &Injector,
-) -> CampaignResult {
-    let (golden, profile_map, checkpoints, trace) =
-        golden_run_traced(workload, config.checkpoints, config.traces());
-    let checkpoints = Arc::new(checkpoints);
-    let profile = ProfileStats::from_run(&golden, &profile_map);
-    let faults = campaign_faults(workload, config, golden.cycles);
-    let limits = campaign_limits(&golden, config);
-    let plan = campaign_plan(workload, config, trace.as_ref(), &faults);
-    drop(trace);
-    let pruned = plan.verdicts.iter().flatten().count() as u64;
-    let audit_seed = campaign_seed(&workload.id, config.seed);
-
-    let threads = resolve_threads(config.threads);
-    let batch = config.batch.max(1);
-    let slots: Mutex<Vec<Option<InjectionRecord>>> = Mutex::new(vec![None; faults.len()]);
-    let audits: Mutex<Vec<crate::AuditEntry>> = Mutex::new(Vec::new());
-    let next_batch = AtomicUsize::new(0);
-    // One cell per fault index; only representative indices are ever
-    // initialized. `get_or_init` lets whichever worker first needs a
-    // representative (its own batch, or a member's batch racing ahead)
-    // execute it exactly once.
-    let cells: Vec<OnceLock<InjectionRecord>> =
-        (0..faults.len()).map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(faults.len().max(1)) {
-            let checkpoints = Arc::clone(&checkpoints);
-            let (faults, golden, limits) = (&faults, &golden, &limits);
-            let (slots, next_batch, plan, audits) = (&slots, &next_batch, &plan, &audits);
-            let cells = &cells;
-            scope.spawn(move || loop {
-                let start = next_batch.fetch_add(batch, Ordering::Relaxed);
-                if start >= faults.len() {
-                    break;
-                }
-                let end = (start + batch).min(faults.len());
-                let mut local = Vec::with_capacity(end - start);
-                let mut local_audits = Vec::new();
-                for (i, fault) in faults[start..end].iter().enumerate() {
-                    let one = |f: &Fault| injector(workload, f, &checkpoints, limits);
-                    if let Some(Some(outcome)) = plan.verdicts.get(start + i) {
-                        local.push(pruned_record(golden, fault, start + i, *outcome));
-                        if config.audits()
-                            && crate::audit_selected(audit_seed, start + i, config.oracle_audit)
-                        {
-                            // Execute the pruned fault for real and diff
-                            // the outcome; the record above stays the
-                            // synthesized one either way.
-                            let executed = inject_record(&one, golden, fault, start + i);
-                            local_audits.push(crate::AuditEntry {
-                                index: (start + i) as u32,
-                                oracle: *outcome,
-                                executed: executed.outcome,
-                            });
-                        }
-                        continue;
-                    }
-                    if let Some(classes) = &plan.classes {
-                        let rep = classes.rep[start + i] as usize;
-                        let rep_record = cells[rep]
-                            .get_or_init(|| inject_record(&one, golden, &faults[rep], rep));
-                        if rep == start + i {
-                            local.push(*rep_record);
-                        } else {
-                            local.push(crate::classes::member_record(rep_record, fault, start + i));
-                            if config.audits()
-                                && crate::audit_selected(audit_seed, start + i, config.oracle_audit)
-                            {
-                                // Execute the member for real and diff
-                                // its classification against the
-                                // representative's claim.
-                                let executed = inject_record(&one, golden, fault, start + i);
-                                local_audits.push(crate::AuditEntry {
-                                    index: (start + i) as u32,
-                                    oracle: rep_record.outcome,
-                                    executed: executed.outcome,
-                                });
-                            }
-                        }
-                        continue;
-                    }
-                    local.push(inject_record(&one, golden, fault, start + i));
-                }
-                let mut slots = slots.lock().expect("no poisoned lock");
-                for record in local {
-                    slots[record.index as usize] = Some(record);
-                }
-                drop(slots);
-                if !local_audits.is_empty() {
-                    audits
-                        .lock()
-                        .expect("no poisoned lock")
-                        .append(&mut local_audits);
-                }
-            });
-        }
-    });
-    let audit = config.audits().then(|| {
-        let mut entries = audits.into_inner().expect("no poisoned lock");
-        entries.sort_by_key(|e| e.index);
-        crate::OracleAuditReport {
-            id: workload.id.clone(),
-            rate: config.oracle_audit,
-            entries,
-            unmodeled: plan.unmodeled.total(),
-            buckets: plan.unmodeled,
-        }
-    });
-    let class_stats = plan.classes.as_ref().map(crate::ClassPlan::stats);
-
-    // Every slot is filled in the normal case (per-injection panics are
-    // already downgraded to Anomaly records); a slot can only stay empty
-    // if a worker thread died outside the isolated region, so backfill
-    // those as anomalies too rather than losing the whole campaign.
-    let records: Vec<InjectionRecord> = slots
-        .into_inner()
-        .expect("no poisoned lock")
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.unwrap_or(InjectionRecord {
-                index: i as u32,
-                fault: faults[i],
-                outcome: Outcome::Anomaly,
-                cycles: 0,
-                instructions: 0,
-                rep: None,
-            })
-        })
-        .collect();
-    assemble_result(
-        workload,
-        config,
-        &golden,
-        profile,
-        records,
-        pruned,
-        audit,
-        class_stats,
-    )
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a: the stable hash behind campaign seeds and sink
+/// fingerprints.
+pub(crate) fn fnv(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -1,9 +1,12 @@
-//! The fleet orchestrator: one shared job pool for a whole sweep.
+//! The fleet orchestrator: the one campaign executor.
 //!
-//! [`run_campaign`](crate::run_campaign) serves exactly one workload per
-//! call; the paper's evaluation is a *sweep* — 64 scenario × ISA ×
-//! core-count configurations, 1,040,000 injections, on an HPC cluster.
-//! This module makes the sweep itself the first-class unit:
+//! The paper's evaluation is a *sweep* — 64 scenario × ISA × core-count
+//! configurations, 1,040,000 injections, on an HPC cluster. This module
+//! makes the sweep the unit of execution, and
+//! [`run_campaign`](crate::run_campaign) is a one-workload sweep, so
+//! every database comes out of the same per-fault dispatch: oracle
+//! verdicts, class representatives and members, sampled audits and
+//! plain execution.
 //!
 //! * **Shared work pool.** All jobs of a sweep — golden runs (with their
 //!   checkpoint ladders) and injection batches of *every* workload — are
@@ -21,27 +24,29 @@
 //!   once every outcome-class proportion's Wilson confidence half-width
 //!   drops below ε ([`Tally::wilson_half_width`]). The check runs over
 //!   the *committed prefix* of the record list (records 0..k with no
-//!   holes), so the stopping index is a pure function of the fault list
-//!   — byte-identical across thread counts, batch sizes and resumes.
-//!   The default ε = 0 disables stopping and reproduces
-//!   [`run_campaign`](crate::run_campaign) byte-for-byte.
+//!   holes), so the stopping index is a pure function of the fault list.
+//!   The default ε = 0 disables stopping.
+//! * **Invariance.** A workload's database depends only on the workload,
+//!   the value-relevant campaign knobs (seed, fault budget, watchdog,
+//!   fault space) and the early-stopping settings. It is byte-identical
+//!   across thread counts, batch sizes, checkpoint settings, prune modes,
+//!   pool shape (alone or alongside other workloads) and kill/resume
+//!   boundaries.
 //! * **Panic isolation.** A panicking injection job becomes an
 //!   [`Outcome::Anomaly`] record; a panicking golden run marks only that
 //!   workload as failed. Neither poisons the rest of the sweep.
 
 use crate::audit::{audit_selected, AuditEntry, OracleAuditReport};
 use crate::campaign::{
-    assemble_result, campaign_faults, campaign_limits, campaign_plan, campaign_seed,
-    golden_run_traced, inject_one, inject_record, panic_message, pruned_record, resolve_threads,
-    CampaignConfig, CampaignPlan, CampaignResult, GoldenSummary, InjectionRecord, Injector,
-    ProfileStats, Tally, Workload,
+    campaign_faults, campaign_limits, campaign_seed, fnv, golden_run_traced, inject_one,
+    CampaignConfig, CampaignResult, GoldenSummary, InjectionRecord, ProfileStats, Tally, Workload,
 };
-use crate::{CheckpointSet, Fault, Outcome};
+use crate::{classify, CheckpointSet, Fault, Outcome};
 use fracas_kernel::{Limits, RunReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::Write;
-use std::path::Path;
+use std::io::{ErrorKind, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -55,8 +60,8 @@ pub struct FleetConfig {
     pub campaign: CampaignConfig,
     /// Early-stopping threshold on the widest per-class Wilson
     /// confidence half-width, as a proportion in `[0, 1]`. `0.0`
-    /// (default) disables early stopping, preserving byte-identical
-    /// [`run_campaign`](crate::run_campaign) results.
+    /// (default) disables early stopping: every workload runs its whole
+    /// fault list.
     pub epsilon: f64,
     /// Critical value of the confidence interval (default 1.96 ≙ 95%).
     pub z: f64,
@@ -127,7 +132,7 @@ struct SinkLine {
 /// influences record *values* (seed, fault budget, watchdog, fault
 /// space) — plus the effective oracle-audit rate, which influences the
 /// sink's audit lines. A sink whose fingerprint mismatches the current
-/// sweep is discarded instead of resumed.
+/// sweep is moved aside to `<sink>.stale` instead of resumed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SinkHeader {
     /// Configuration fingerprint (FNV over the value-relevant knobs).
@@ -154,12 +159,7 @@ fn config_fingerprint(config: &CampaignConfig) -> u64 {
         config.watchdog_factor.to_bits(),
         config.space,
     );
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv(key.as_bytes())
 }
 
 /// Append-only JSONL stream of completed injection records, giving a
@@ -194,28 +194,35 @@ impl RecordSink {
     ///
     /// An existing file whose header fingerprint matches `config` is
     /// replayed for resume, cut back to its last complete line and then
-    /// appended to; a mismatching or unreadable file is truncated and
-    /// restarted, because its records were produced under different
-    /// sampling parameters.
+    /// appended to. A non-empty file that does not match (another seed,
+    /// fault budget, watchdog or fault space, or no readable header) is
+    /// never overwritten: it is renamed to `<path>.stale`, with one stderr
+    /// line naming both fingerprints, and a fresh sink is started.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from opening, cutting or creating the file.
+    /// Returns an [`ErrorKind::AlreadyExists`] error naming both paths when
+    /// a mismatching file must be set aside but `<path>.stale` already
+    /// exists, and any I/O error from reading, cutting, renaming or
+    /// creating the files.
     pub fn open(path: &Path, config: &CampaignConfig) -> std::io::Result<RecordSink> {
         let fingerprint = config_fingerprint(config);
         let mut preloaded: HashMap<String, Vec<InjectionRecord>> = HashMap::new();
         let mut preloaded_audits: HashMap<String, Vec<AuditEntry>> = HashMap::new();
+        let bytes = match std::fs::read(path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n').map_while(|line| {
+            let text = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
+            Some((line.len() as u64, text))
+        });
+        let header = lines
+            .next()
+            .and_then(|(len, l)| Some((len, serde_json::from_str::<SinkHeader>(l).ok()?.fp)));
         // Byte length of the replayed prefix, when the file is resumed.
-        let mut resume_len: Option<u64> = None;
-        if let Ok(bytes) = std::fs::read(path) {
-            let mut lines = bytes.split_inclusive(|&b| b == b'\n').map_while(|line| {
-                let text = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
-                Some((line.len() as u64, text))
-            });
-            let header = lines
-                .next()
-                .and_then(|(len, l)| Some((len, serde_json::from_str::<SinkHeader>(l).ok()?)));
-            if let Some((mut len, _)) = header.filter(|(_, h)| h.fp == fingerprint) {
+        let resume_len = match header {
+            Some((mut len, fp)) if fp == fingerprint => {
                 for (line_len, line) in lines {
                     // A torn tail from a crash parses as an error: stop
                     // replaying there and re-run the remainder.
@@ -230,14 +237,18 @@ impl RecordSink {
                     }
                     len += line_len;
                 }
-                resume_len = Some(len);
+                Some(len)
             }
-        }
+            _ => None,
+        };
         let mut file = if let Some(len) = resume_len {
             let file = std::fs::OpenOptions::new().append(true).open(path)?;
             file.set_len(len)?;
             file
         } else {
+            if !bytes.is_empty() {
+                set_aside(path, header.map(|(_, fp)| fp), fingerprint)?;
+            }
             let mut f = std::fs::File::create(path)?;
             writeln!(
                 f,
@@ -299,6 +310,80 @@ impl RecordSink {
         let mut file = file.lock().expect("no poisoned sink lock");
         file.write_all(out.as_bytes())?;
         file.flush()
+    }
+}
+
+/// Renames a sink that belongs to another configuration (header
+/// fingerprint `found`, `None` when unreadable) to `<path>.stale`, so
+/// its completed records survive; refuses rather than overwrite an
+/// earlier `.stale` file.
+fn set_aside(path: &Path, found: Option<u64>, wanted: u64) -> std::io::Result<()> {
+    let mut stale = path.as_os_str().to_owned();
+    stale.push(".stale");
+    let stale = PathBuf::from(stale);
+    let found = found.map_or_else(|| "unreadable".to_string(), |fp| format!("{fp:016x}"));
+    let mismatch = format!(
+        "sink {} has fingerprint {found}, not this sweep's {wanted:016x}",
+        path.display()
+    );
+    if stale.exists() {
+        return Err(std::io::Error::new(
+            ErrorKind::AlreadyExists,
+            format!(
+                "{mismatch}, and {} already exists; move one of them away",
+                stale.display()
+            ),
+        ));
+    }
+    std::fs::rename(path, &stale)?;
+    eprintln!("{mismatch}; moved it to {}", stale.display());
+    Ok(())
+}
+
+/// Everything a campaign's prune modes decided about its fault list:
+/// the verdict table (dead-value short circuits), the optional
+/// equivalence-class plan and the unmodeled-target accounting.
+#[derive(Debug, Clone, Default)]
+struct CampaignPlan {
+    /// `verdicts[i]` short-circuits fault `i` without execution. Empty
+    /// when every prune mode is off.
+    verdicts: Vec<Option<Outcome>>,
+    /// The class plan ([`CampaignConfig::prune_classes`]).
+    classes: Option<crate::ClassPlan>,
+    /// Faults whose targets the oracle does not model (always executed
+    /// for real; surfaced by the audit report).
+    unmodeled: crate::UnmodeledCounts,
+}
+
+/// Builds the [`CampaignPlan`] for a campaign. With
+/// [`CampaignConfig::prune_classes`] the verdict table is the class
+/// plan's own decided table — byte-identical to what
+/// [`CampaignConfig::prune_dead`] alone computes, which is what keeps
+/// the dead-value subset stable under composition.
+fn campaign_plan(
+    workload: &Workload,
+    config: &CampaignConfig,
+    trace: Option<&fracas_cpu::ExecTrace>,
+    faults: &[Fault],
+) -> CampaignPlan {
+    if config.prune_classes {
+        let trace = trace.expect("prune_classes golden runs are traced");
+        let plan = crate::classes::class_plan(workload, trace, faults);
+        CampaignPlan {
+            verdicts: plan.decided.clone(),
+            unmodeled: plan.stats().unmodeled,
+            classes: Some(plan),
+        }
+    } else if config.prune_dead {
+        let trace = trace.expect("prune_dead golden runs are traced");
+        let (verdicts, unmodeled) = crate::prune::prune_plan(workload, trace, faults);
+        CampaignPlan {
+            verdicts,
+            classes: None,
+            unmodeled,
+        }
+    } else {
+        CampaignPlan::default()
     }
 }
 
@@ -406,11 +491,16 @@ fn advance_commit(slots: &mut Slots, config: &FleetConfig, stop_at: &AtomicUsize
     }
 }
 
+/// The injection primitive the fleet drives: produces the faulty
+/// [`RunReport`] for one fault. Production code always uses
+/// [`inject_one`]; tests substitute misbehaving injectors to exercise
+/// the panic-isolation path.
+pub type Injector = dyn Fn(&Workload, &Fault, &CheckpointSet, &Limits) -> RunReport + Sync;
+
 /// Runs a sweep over `workloads` on one shared worker pool, returning
-/// one [`CampaignResult`] per workload (input order). With the default
-/// `epsilon = 0` every database is byte-identical to running
-/// [`run_campaign`](crate::run_campaign) per workload with
-/// `config.campaign`.
+/// one [`CampaignResult`] per workload (input order). Each database is
+/// the same whatever the thread count, batch size, checkpoint setting
+/// or the other workloads in the sweep.
 pub fn run_fleet(workloads: &[Workload], config: &FleetConfig) -> Vec<CampaignResult> {
     run_fleet_with(workloads, config, &mut RecordSink::disabled(), &inject_one)
         .expect("a disabled sink never fails")
@@ -433,6 +523,15 @@ pub fn run_fleet_with_sink(
 ) -> std::io::Result<Vec<CampaignResult>> {
     let mut sink = RecordSink::open(path, &config.campaign)?;
     run_fleet_with(workloads, config, &mut sink, &inject_one)
+}
+
+/// Resolves `threads: 0` to the host's available parallelism.
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+    } else {
+        threads
+    }
 }
 
 /// The orchestrator core with an explicit injection primitive and sink
@@ -613,6 +712,70 @@ fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink
     let _ = state.injections_started.set(Instant::now());
 }
 
+/// Synthesizes the record of a pruned injection: the fault provably
+/// never diverges the run, so cycles and instructions are the golden
+/// run's own. Byte-identical to what executing the fault would record.
+fn pruned_record(
+    golden: &RunReport,
+    fault: &Fault,
+    index: usize,
+    outcome: Outcome,
+) -> InjectionRecord {
+    InjectionRecord {
+        index: index as u32,
+        fault: *fault,
+        outcome,
+        cycles: golden.cycles,
+        instructions: golden.total_instructions(),
+        rep: None,
+    }
+}
+
+/// Runs one injection through `injector` with host-panic isolation: a
+/// panicking worker yields an [`Outcome::Anomaly`] record (zero cycles
+/// and instructions) instead of aborting the campaign and losing every
+/// completed record.
+fn inject_record(
+    injector: &dyn Fn(&Fault) -> RunReport,
+    golden: &RunReport,
+    fault: &Fault,
+    index: usize,
+) -> InjectionRecord {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| injector(fault)));
+    match caught {
+        Ok(report) => InjectionRecord {
+            index: index as u32,
+            fault: *fault,
+            outcome: classify(golden, &report),
+            cycles: report.cycles,
+            instructions: report.total_instructions(),
+            rep: None,
+        },
+        Err(panic) => {
+            eprintln!(
+                "injection {index} panicked ({}); recording Anomaly",
+                panic_message(panic.as_ref())
+            );
+            InjectionRecord {
+                index: index as u32,
+                fault: *fault,
+                outcome: Outcome::Anomaly,
+                cycles: 0,
+                instructions: 0,
+                rep: None,
+            }
+        }
+    }
+}
+
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&'static str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// Executes one injection batch `[start, start + batch)`, skipping
 /// indices already replayed from the sink, then commits the records,
 /// streams the new ones to the sink and emits progress.
@@ -639,62 +802,56 @@ fn run_injection_batch(
             .collect()
     };
     // Fresh records, each paired with its audit entry when the index is
-    // an audited pruned fault. Replayed records keep their replayed
-    // audit entries (the sink writes an audit line strictly before its
-    // record line, so a surviving record implies a surviving entry).
+    // an audited synthesized record. Replayed records keep their
+    // replayed audit entries (the sink writes an audit line strictly
+    // before its record line, so a surviving record implies a surviving
+    // entry).
     let mut fresh: Vec<(Option<AuditEntry>, InjectionRecord)> = Vec::with_capacity(end - start);
     for (i, fault) in golden.faults[start..end].iter().enumerate() {
         if have[i] {
             continue;
         }
+        let index = start + i;
         let one = |f: &Fault| injector(state.workload, f, &golden.checkpoints, &golden.limits);
-        if let Some(Some(outcome)) = golden.plan.verdicts.get(start + i) {
-            let record = pruned_record(&golden.report, fault, start + i, *outcome);
-            let audit = (campaign.audits()
-                && audit_selected(golden.audit_seed, start + i, campaign.oracle_audit))
-            .then(|| {
-                let executed = inject_record(&one, &golden.report, fault, start + i);
-                AuditEntry {
-                    index: (start + i) as u32,
-                    oracle: *outcome,
-                    executed: executed.outcome,
-                }
-            });
-            fresh.push((audit, record));
-            continue;
-        }
-        if let Some(classes) = &golden.plan.classes {
+        // The record, plus the outcome it claims without executing its
+        // own fault (an oracle verdict or a class representative's).
+        let (record, claim) = if let Some(Some(outcome)) = golden.plan.verdicts.get(index) {
+            (
+                pruned_record(&golden.report, fault, index, *outcome),
+                Some(*outcome),
+            )
+        } else if let Some(classes) = &golden.plan.classes {
             // Class mode: execute the class representative (at most
             // once, via its cell) and synthesize members from it. The
             // representative's index never exceeds the member's, so an
             // early-stopped prefix always contains every representative
             // its members cite.
-            let rep = classes.rep[start + i] as usize;
+            let rep = classes.rep[index] as usize;
             let rep_record = golden.cells[rep]
                 .get_or_init(|| inject_record(&one, &golden.report, &golden.faults[rep], rep));
-            if rep == start + i {
-                fresh.push((None, *rep_record));
+            if rep == index {
+                (*rep_record, None)
             } else {
-                let record = crate::classes::member_record(rep_record, fault, start + i);
-                // Member-sampling audit: execute this member for real
-                // and diff its classified outcome against the
-                // representative's — the execution-validated backstop of
-                // the interval-exactness claim.
-                let audit = (campaign.audits()
-                    && audit_selected(golden.audit_seed, start + i, campaign.oracle_audit))
-                .then(|| {
-                    let executed = inject_record(&one, &golden.report, fault, start + i);
-                    AuditEntry {
-                        index: (start + i) as u32,
-                        oracle: rep_record.outcome,
-                        executed: executed.outcome,
-                    }
-                });
-                fresh.push((audit, record));
+                let member = crate::classes::member_record(rep_record, fault, index);
+                (member, Some(rep_record.outcome))
             }
-            continue;
-        }
-        fresh.push((None, inject_record(&one, &golden.report, fault, start + i)));
+        } else {
+            (inject_record(&one, &golden.report, fault, index), None)
+        };
+        // Sampled audit: execute the synthesized record's fault for real
+        // and diff its classified outcome against the claim — the
+        // execution-validated backstop of the oracle and of interval
+        // exactness. The synthesized record stays either way.
+        let audit = claim
+            .filter(|_| {
+                campaign.audits() && audit_selected(golden.audit_seed, index, campaign.oracle_audit)
+            })
+            .map(|oracle| AuditEntry {
+                index: index as u32,
+                oracle,
+                executed: inject_record(&one, &golden.report, fault, index).outcome,
+            });
+        fresh.push((audit, record));
     }
     let (committed, prefix) = {
         let mut slots = state.slots.lock().expect("no poisoned slots lock");
@@ -794,17 +951,27 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
         unmodeled: golden.plan.unmodeled.total(),
         buckets: golden.plan.unmodeled,
     });
-    let classes = golden.plan.classes.as_ref().map(|c| c.stats_prefix(keep));
-    assemble_result(
-        state.workload,
-        &config.campaign,
-        &golden.report,
-        golden.profile,
+    let mut tally = Tally::default();
+    for r in &records {
+        tally.record(r.outcome);
+    }
+    CampaignResult {
+        id: state.workload.id.clone(),
+        faults: config.campaign.faults,
+        seed: config.campaign.seed,
+        golden: GoldenSummary {
+            cycles: golden.report.cycles,
+            instructions: golden.report.total_instructions(),
+            per_core_instructions: golden.report.per_core_instructions.clone(),
+        },
+        space_bits: state.workload.dims(config.campaign.space).total_bits(),
+        profile: golden.profile,
+        tally,
         records,
         pruned,
         audit,
-        classes,
-    )
+        classes: golden.plan.classes.as_ref().map(|c| c.stats_prefix(keep)),
+    }
 }
 
 /// The database of a workload whose golden run failed: zero reference
@@ -902,6 +1069,16 @@ mod tests {
         assert_ne!(
             config_fingerprint(&classed),
             config_fingerprint(&classed_audited)
+        );
+    }
+
+    #[test]
+    fn default_fingerprint_is_pinned() {
+        // Sinks written by earlier builds must keep resuming: the
+        // default configuration's fingerprint is part of the file format.
+        assert_eq!(
+            config_fingerprint(&CampaignConfig::default()),
+            0x085d_39d7_b183_9a87
         );
     }
 

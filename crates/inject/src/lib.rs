@@ -28,22 +28,32 @@
 //!   fraction of the pruned faults is *also* executed for real and the
 //!   classified outcome diffed against the oracle's verdict
 //!   ([`OracleAuditReport`]); a mismatch fails the sweep.
-//! * **Distribution** (§3.2.4): jobs run on a work queue over
-//!   host threads; results are index-sorted, so a campaign is
-//!   deterministic for a given seed regardless of thread count.
+//! * **Distribution** (§3.2.4): one executor, the fleet orchestrator
+//!   ([`run_fleet`]), claims the golden runs and injection batches of
+//!   every workload in a sweep from one pool of host threads;
+//!   [`run_campaign`] is a one-workload sweep. Records are index-sorted,
+//!   so a database is deterministic for a given seed regardless of
+//!   thread count, pool shape, checkpointing or kill/resume.
 //!
 //! ## Example
 //!
+//! One campaign, then the same workload inside a sweep: the shared pool
+//! gives it the same database.
+//!
 //! ```no_run
-//! use fracas_inject::{CampaignConfig, Workload, run_campaign};
+//! use fracas_inject::{run_campaign, run_fleet, CampaignConfig, FleetConfig, Workload};
 //! use fracas_npb::{App, Model, Scenario};
 //! use fracas_isa::IsaKind;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let scenario = Scenario::new(App::Is, Model::Omp, 2, IsaKind::Sira64).unwrap();
-//! let workload = Workload::from_scenario(&scenario)?;
-//! let result = run_campaign(&workload, &CampaignConfig { faults: 100, ..Default::default() });
+//! let is = Scenario::new(App::Is, Model::Omp, 2, IsaKind::Sira64).unwrap();
+//! let cg = Scenario::new(App::Cg, Model::Mpi, 2, IsaKind::Sira64).unwrap();
+//! let (omp, mpi) = (Workload::from_scenario(&is)?, Workload::from_scenario(&cg)?);
+//! let campaign = CampaignConfig { faults: 100, ..Default::default() };
+//! let result = run_campaign(&omp, &campaign);
 //! println!("{}: {:?}", result.id, result.tally);
+//! let sweep = run_fleet(&[omp, mpi], &FleetConfig { campaign, ..Default::default() });
+//! assert_eq!(sweep[0].to_json(), result.to_json());
 //! # Ok(())
 //! # }
 //! ```
@@ -61,8 +71,8 @@ mod prune;
 pub use audit::{audit_selected, AuditEntry, OracleAuditReport};
 pub use campaign::{
     campaign_faults, golden_only, golden_run, golden_run_with_checkpoints, golden_trace,
-    inject_one, run_campaign, run_campaign_with, CampaignConfig, CampaignResult, GoldenSummary,
-    InjectionRecord, Injector, ProfileStats, Tally, Workload,
+    inject_one, run_campaign, CampaignConfig, CampaignResult, GoldenSummary, InjectionRecord,
+    ProfileStats, Tally, Workload,
 };
 pub use checkpoint::CheckpointSet;
 pub use classes::{class_plan, weighted_tally, ClassPlan, ClassStats};
@@ -73,5 +83,7 @@ pub use domain::{
 pub use fault::{
     sample_faults, sample_faults_with_text, sample_space, Fault, FaultSpace, FaultTarget,
 };
-pub use fleet::{run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, RecordSink};
+pub use fleet::{
+    run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
+};
 pub use prune::{prune_plan, prune_table, prune_target, Unmodeled, UnmodeledCounts};

@@ -1,10 +1,11 @@
-//! Orchestrator test sweep: differential equivalence against
-//! `run_campaign`, deterministic crash-safe resume through the record
-//! sink, statistical early stopping, and per-injection panic isolation.
+//! Orchestrator test sweep: database invariance across pool shape,
+//! thread count and checkpointing, deterministic crash-safe resume
+//! through the record sink, statistical early stopping, and
+//! per-injection panic isolation.
 
 use fracas_inject::{
-    inject_one, run_campaign, run_campaign_with, run_fleet, run_fleet_with, run_fleet_with_sink,
-    CampaignConfig, Fault, FaultSpace, FaultTarget, FleetConfig, Outcome, RecordSink, Workload,
+    inject_one, run_campaign, run_fleet, run_fleet_with, run_fleet_with_sink, CampaignConfig,
+    Fault, FaultSpace, FaultTarget, FleetConfig, Outcome, RecordSink, Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_npb::{App, Model, Scenario};
@@ -33,24 +34,60 @@ fn mini_config(faults: usize) -> CampaignConfig {
     }
 }
 
-#[test]
-fn fleet_without_early_stop_matches_run_campaign_byte_for_byte() {
-    let workloads = mini_workloads();
+/// The mini sweep's databases under `campaign`, as JSON.
+fn mini_sweep(campaign: CampaignConfig) -> Vec<String> {
     let config = FleetConfig {
-        campaign: mini_config(24),
+        campaign,
         ..FleetConfig::default()
     };
-    let fleet = run_fleet(&workloads, &config);
-    assert_eq!(fleet.len(), workloads.len());
-    for (w, fleet_result) in workloads.iter().zip(&fleet) {
-        let solo = run_campaign(w, &config.campaign);
+    run_fleet(&mini_workloads(), &config)
+        .iter()
+        .map(fracas_inject::CampaignResult::to_json)
+        .collect()
+}
+
+#[test]
+fn shared_pool_matches_per_workload_pools_byte_for_byte() {
+    let workloads = mini_workloads();
+    let config = mini_config(24);
+    let shared = mini_sweep(config.clone());
+    assert_eq!(shared.len(), workloads.len());
+    for (w, pooled) in workloads.iter().zip(&shared) {
+        // `run_campaign` is a pool of its own over one workload.
+        let solo = run_campaign(w, &config);
         assert_eq!(
-            fleet_result.to_json(),
+            *pooled,
             solo.to_json(),
-            "orchestrator diverged from run_campaign on {}",
+            "the shared pool diverged from a per-workload pool on {}",
             w.id
         );
     }
+}
+
+#[test]
+fn thread_count_does_not_change_the_sweep() {
+    let one = mini_sweep(CampaignConfig {
+        threads: 1,
+        ..mini_config(24)
+    });
+    let three = mini_sweep(CampaignConfig {
+        threads: 3,
+        ..mini_config(24)
+    });
+    assert_eq!(one, three, "1 vs 3 worker threads diverged");
+}
+
+#[test]
+fn boot_replay_matches_checkpointed_sweep() {
+    let checkpointed = mini_sweep(mini_config(24));
+    let boot_replay = mini_sweep(CampaignConfig {
+        checkpoints: 0,
+        ..mini_config(24)
+    });
+    assert_eq!(
+        checkpointed, boot_replay,
+        "checkpoint restore diverged from replay from boot"
+    );
 }
 
 #[test]
@@ -316,57 +353,56 @@ fn audit_report_survives_kill_and_resume_bit_identically() {
 }
 
 #[test]
-fn sink_with_stale_fingerprint_is_discarded() {
+fn sink_with_stale_fingerprint_is_set_aside() {
     let workloads = vec![workload(App::Is, Model::Serial, 1, IsaKind::Sira64)];
     let config = FleetConfig {
         campaign: mini_config(10),
         ..FleetConfig::default()
     };
     let path = temp_sink("stale");
+    let mut stale = path.clone().into_os_string();
+    stale.push(".stale");
+    let stale = PathBuf::from(stale);
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&stale);
     let full: Vec<String> = run_fleet_with_sink(&workloads, &config, &path)
         .expect("sink opens")
         .iter()
         .map(fracas_inject::CampaignResult::to_json)
         .collect();
-    // Re-running under a different seed must not trust the old records.
-    let reseeded = FleetConfig {
+    let old_bytes = std::fs::read(&path).expect("sink readable");
+    // Re-running under a different seed must not trust the old records,
+    // and must not destroy them either: they move to `<sink>.stale`.
+    let reseeded = |seed| FleetConfig {
         campaign: CampaignConfig {
-            seed: config.campaign.seed + 1,
+            seed,
             ..config.campaign.clone()
         },
         ..config.clone()
     };
-    let other = run_fleet_with_sink(&workloads, &reseeded, &path).expect("sink reopens");
+    let other = run_fleet_with_sink(&workloads, &reseeded(config.campaign.seed + 1), &path)
+        .expect("sink reopens");
     assert_eq!(other[0].tally.total(), 10);
     assert_eq!(other[0].tally.anomaly, 0);
     assert_ne!(other[0].to_json(), full[0]);
+    assert_eq!(
+        std::fs::read(&stale).expect("old sink set aside"),
+        old_bytes
+    );
+    // A third configuration finds `.stale` taken: it refuses instead of
+    // overwriting either file.
+    let new_bytes = std::fs::read(&path).expect("sink readable");
+    let err = RecordSink::open(&path, &reseeded(config.campaign.seed + 2).campaign)
+        .err()
+        .expect("an occupied .stale path must refuse");
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    let message = err.to_string();
+    assert!(message.contains(&path.display().to_string()), "{message}");
+    assert!(message.contains(&stale.display().to_string()), "{message}");
+    assert_eq!(std::fs::read(&path).expect("sink kept"), new_bytes);
+    assert_eq!(std::fs::read(&stale).expect("stale kept"), old_bytes);
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn panicking_injection_becomes_anomaly_record_in_campaign() {
-    let w = workload(App::Is, Model::Serial, 1, IsaKind::Sira64);
-    let config = CampaignConfig {
-        faults: 12,
-        threads: 2,
-        ..CampaignConfig::default()
-    };
-    let clean = run_campaign(&w, &config);
-    let poison = clean.records[5].fault;
-    let faulty = run_campaign_with(&w, &config, &move |wl, fault, cps, limits| {
-        assert!(*fault != poison, "worker panics on the poisoned fault");
-        inject_one(wl, fault, cps, limits)
-    });
-    assert_eq!(faulty.tally.total(), 12);
-    assert_eq!(faulty.tally.anomaly, 1);
-    assert_eq!(faulty.records[5].outcome, Outcome::Anomaly);
-    assert_eq!(faulty.records[5].cycles, 0);
-    for (i, (a, b)) in clean.records.iter().zip(&faulty.records).enumerate() {
-        if i != 5 {
-            assert_eq!(a, b, "record {i} must survive the sibling panic");
-        }
-    }
+    let _ = std::fs::remove_file(&stale);
 }
 
 #[test]
@@ -415,13 +451,24 @@ fn out_of_range_flip_coordinates_surface_as_anomaly_records() {
             ),
         ),
     ];
-    let result = run_campaign_with(&w, &config, &move |wl, fault, cps, limits| {
-        let fault = poisoned
-            .iter()
-            .find(|(original, _)| original == fault)
-            .map_or(*fault, |(_, bad)| *bad);
-        inject_one(wl, &fault, cps, limits)
-    });
+    let fleet = FleetConfig {
+        campaign: config,
+        ..FleetConfig::default()
+    };
+    let result = run_fleet_with(
+        std::slice::from_ref(&w),
+        &fleet,
+        &mut RecordSink::disabled(),
+        &move |wl, fault, cps, limits| {
+            let fault = poisoned
+                .iter()
+                .find(|(original, _)| original == fault)
+                .map_or(*fault, |(_, bad)| *bad);
+            inject_one(wl, &fault, cps, limits)
+        },
+    )
+    .expect("a disabled sink never fails")
+    .remove(0);
     assert_eq!(result.tally.anomaly, 2);
     assert_eq!(result.records[2].outcome, Outcome::Anomaly);
     assert_eq!(result.records[5].outcome, Outcome::Anomaly);
@@ -501,8 +548,18 @@ fn panicking_injection_does_not_poison_the_fleet() {
     .expect("a disabled sink never fails");
     for (i, (a, b)) in clean.iter().zip(&faulty).enumerate() {
         if i == 1 {
+            assert_eq!(b.tally.total(), 10, "{}", b.id);
             assert_eq!(b.tally.anomaly, 1, "{}", b.id);
             assert_eq!(b.records[3].outcome, Outcome::Anomaly);
+            assert_eq!(
+                b.records[3].cycles, 0,
+                "a poisoned record reports no progress"
+            );
+            for (j, (x, y)) in a.records.iter().zip(&b.records).enumerate() {
+                if j != 3 {
+                    assert_eq!(x, y, "record {j} must survive the sibling panic");
+                }
+            }
         } else {
             assert_eq!(a.to_json(), b.to_json(), "workload {} polluted", a.id);
         }
