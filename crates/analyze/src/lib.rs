@@ -18,9 +18,9 @@
 //!    dispatches, kernel context writes — and decides individual fault
 //!    outcomes without execution wherever the flipped bits provably die
 //!    (`Vanished`) or provably survive unread until exit
-//!    (`SilentResidue` → ONA). This is what `fracas-inject`'s
-//!    `prune_dead` mode uses: static dead windows alone are unsound
-//!    under a context-switching kernel (a dead register still gets
+//!    (`SilentResidue` → ONA). This is the decided tier of
+//!    `fracas-inject`'s `prune_classes` mode: static dead windows alone
+//!    are unsound under a context-switching kernel (a dead register still gets
 //!    copied into a thread's saved context and may resurface
 //!    elsewhere), so the static side estimates and the dynamic side
 //!    decides.

@@ -3,9 +3,9 @@
 //! Given the golden run's event trace, decides — **without executing
 //! anything** — the outcome of an ephemeral-state fault (GPR, FPR, NZCV
 //! flag, or the SIRA-32 architected PC) whenever that outcome is
-//! provable, and abstains otherwise. `fracas-inject`'s `prune_dead`
-//! campaign mode short-circuits provable injections and runs the rest
-//! for real; a pruned campaign's records are byte-identical to a full
+//! provable, and abstains otherwise. `fracas-inject`'s `prune_classes`
+//! campaign mode short-circuits provable injections and classes the
+//! rest; a pruned campaign's records are byte-identical to a full
 //! campaign's.
 //!
 //! # Why a dynamic oracle and not the static dead windows?

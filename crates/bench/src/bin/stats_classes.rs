@@ -19,7 +19,7 @@
 
 use fracas::inject::{campaign_faults, class_plan, golden_trace, FaultSpace, Workload};
 use fracas::mine::CollapseSummary;
-use fracas_bench::cli::{Parser, ScenarioFilter};
+use fracas_bench::cli::{KnobFlags, Parser, ScenarioFilter};
 use std::time::Instant;
 
 const USAGE: &str = "stats_classes [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
@@ -31,8 +31,7 @@ const HEADER: &str =
 #[allow(clippy::too_many_lines)]
 fn main() {
     let mut filter = ScenarioFilter::default();
-    let mut faults: Option<usize> = None;
-    let mut seed: Option<u64> = None;
+    let mut knobs = KnobFlags::default();
     let mut gate: Option<f64> = None;
     let mut text_faults = false;
     let mut p = Parser::new(USAGE);
@@ -41,20 +40,15 @@ fn main() {
             continue;
         }
         match flag.as_str() {
-            "--faults" => faults = Some(p.parsed(&flag)),
-            "--seed" => seed = Some(p.parsed(&flag)),
+            "--faults" | "--seed" => {
+                knobs.accept(&mut p, &flag);
+            }
             "--gate" => gate = Some(p.parsed(&flag)),
             "--text-faults" => text_faults = true,
             other => p.unknown(other),
         }
     }
-    let mut config = fracas_bench::config();
-    if let Some(v) = faults {
-        config.faults = v;
-    }
-    if let Some(v) = seed {
-        config.seed = v;
-    }
+    let mut config = knobs.resolve_or_exit(&p).fleet_config().campaign;
     if text_faults {
         config.space = FaultSpace::only("text");
     }

@@ -10,7 +10,7 @@ use fracas::npb::{App, Model, Scenario};
 use fracas::prelude::*;
 
 fn main() {
-    let base = fracas_bench::fleet_config();
+    let base = fracas_bench::cli::SweepOpts::from_env().fleet_config();
     println!(
         "MBU severity sweep ({} faults/run): adjacent-bit upset widths 1/2/4\n",
         base.campaign.faults

@@ -12,7 +12,7 @@ use fracas::npb::{App, Model, Scenario};
 use fracas::prelude::*;
 
 fn main() {
-    let config = fracas_bench::fleet_config();
+    let config = fracas_bench::cli::SweepOpts::from_env().fleet_config();
     println!(
         "Compiler-flag reliability sweep ({} faults/run). -O0 keeps locals in memory;\n\
          -O1 promotes them to registers (the default everywhere else).\n",

@@ -29,7 +29,7 @@ use fracas::analyze::{analyze_text, cfg_reachable_words, FlipClass, PruneOracle}
 use fracas::inject::{campaign_faults, class_plan, golden_trace, FaultSpace, Workload};
 use fracas::mine::CollapseSummary;
 use fracas::npb::App;
-use fracas_bench::cli::{Parser, ScenarioFilter};
+use fracas_bench::cli::{KnobFlags, Parser, ScenarioFilter};
 use std::time::Instant;
 
 const USAGE: &str = "stats_textfault [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
@@ -37,29 +37,23 @@ const USAGE: &str = "stats_textfault [--isa sira32|sira64] [--model ser|omp|mpi]
 
 fn main() {
     let mut filter = ScenarioFilter::default();
-    let mut faults: Option<usize> = None;
-    let mut seed: Option<u64> = None;
+    let mut knobs = KnobFlags::default();
     let mut p = Parser::new(USAGE);
     while let Some(flag) = p.next_flag() {
         if filter.accept(&mut p, &flag) {
             continue;
         }
         match flag.as_str() {
-            "--faults" => faults = Some(p.parsed(&flag)),
-            "--seed" => seed = Some(p.parsed(&flag)),
+            "--faults" | "--seed" => {
+                knobs.accept(&mut p, &flag);
+            }
             other => p.unknown(other),
         }
     }
     if filter.app.is_none() {
         filter.app = Some(App::Ep);
     }
-    let mut text_config = fracas_bench::config();
-    if let Some(v) = faults {
-        text_config.faults = v;
-    }
-    if let Some(v) = seed {
-        text_config.seed = v;
-    }
+    let mut text_config = knobs.resolve_or_exit(&p).fleet_config().campaign;
     text_config.space = FaultSpace::only("text");
     let mut reg_config = text_config.clone();
     reg_config.space = FaultSpace::default();

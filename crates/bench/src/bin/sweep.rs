@@ -4,22 +4,22 @@
 //! progress and optional statistical early stopping.
 //!
 //! ```text
-//! sweep [--isa sira32|sira64] [--model ser|omp|mpi] [--app bt|cg|...]
-//!       [--cores N] [--faults N] [--epsilon E] [--threads N] [--seed N]
-//!       [--db PATH] [--sink PATH] [--prune-dead] [--prune-classes]
-//!       [--oracle-audit R] [--text-faults]
+//! sweep [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] [--cores N]
+//!       [campaign knobs] [--<domain>-faults ...]
 //! ```
 //!
-//! Kill it at any point and re-run with the same arguments: completed
-//! injections replay from the sink and the final database is
-//! bit-identical to an uninterrupted sweep. Environment knobs
-//! (`FRACAS_FAULTS`, `FRACAS_EPSILON`, ...) supply defaults; flags win.
+//! `sweep --help` lists the campaign knobs (`--faults`, `--seed`,
+//! `--prune-classes`, `--db`, ...) with the `FRACAS_*` variable each
+//! falls back to and its default, and the fault-domain flags
+//! (`fracas_bench::cli::KNOBS` and the domain registry). Kill it at any
+//! point and re-run with the same arguments: completed injections
+//! replay from the sink and the final database is bit-identical to an
+//! uninterrupted sweep.
 
 use fracas_bench::cli::SweepOpts;
 
-const USAGE: &str = "sweep [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] [--cores N]\n\
-     \u{20}            [--faults N] [--epsilon E] [--threads N] [--seed N] [--db PATH] [--sink PATH]\n\
-     \u{20}            [--prune-dead] [--prune-classes] [--oracle-audit R] [--text-faults]";
+const USAGE: &str = "sweep [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] [--cores N] \
+     [campaign knobs] [--<domain>-faults ...]";
 
 fn main() {
     let opts = SweepOpts::parse(USAGE);

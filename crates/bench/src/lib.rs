@@ -8,30 +8,16 @@
 //! resume, per-workload progress lines and optional statistical early
 //! stopping.
 //!
-//! * `FRACAS_DB` (default `fracas_campaigns.jsonl`) — the JSON-lines
-//!   database file. [`ensure_db`] loads it, sweeps the scenarios not yet
-//!   covered, and saves it back.
-//! * `FRACAS_SINK` (default `<db>.wal`) — the in-flight record sink; a
-//!   killed sweep resumes from it bit-identically and it is deleted once
-//!   the database is saved.
-//! * `FRACAS_FAULTS` — injections per scenario (default 60; the paper
-//!   used 8,000 on a 5,000-core cluster).
-//! * `FRACAS_EPSILON` — Wilson-interval early-stop half-width as a
-//!   proportion (default 0 = off; see
-//!   [`fracas::inject::FleetConfig::from_env`]).
-//! * `FRACAS_PRUNE_CLASSES` — collapse each campaign's fault list into
-//!   interval-keyed equivalence classes and execute one representative
-//!   per class (default 0 = off; the database stays byte-identical, see
-//!   `fracas::inject::class_plan`).
-//! * `FRACAS_ORACLE_AUDIT` — with `--prune-dead` or `--prune-classes`,
-//!   the fraction of synthesized records (oracle-pruned faults and
-//!   class members) to also execute for real and diff against the
-//!   synthesized outcome (default 0 = off); any mismatch aborts the
-//!   sweep before the database is saved.
-//! * `FRACAS_SEED`, `FRACAS_THREADS` — see
-//!   [`fracas::inject::CampaignConfig::from_env`].
+//! The campaign knobs — fault budget, seed, threads, checkpoints,
+//! early-stop ε, class pruning, oracle audit, database and sink paths —
+//! are declared once, in [`cli::KNOBS`]: each row names a flag, the
+//! `FRACAS_*` variable it falls back to and the harness default
+//! (`sweep --help` prints the table). [`ensure_db`] resolves them from
+//! the environment; the `sweep` binary also takes the flags
+//! ([`cli::SweepOpts`]). A malformed value is an error (exit 2), never
+//! silently replaced by the default.
 
-use fracas::inject::{CampaignConfig, CampaignResult, FleetConfig, Workload};
+use fracas::inject::{CampaignResult, FleetConfig, Workload};
 use fracas::mine::{parse_id, Database};
 use fracas::npb::Scenario;
 use std::io::Write;
@@ -41,43 +27,11 @@ use std::time::Instant;
 pub mod cli;
 pub mod reports;
 
-/// The database path from `FRACAS_DB` (default `fracas_campaigns.jsonl`
-/// in the working directory).
-pub fn db_path() -> PathBuf {
-    std::env::var_os("FRACAS_DB")
-        .map_or_else(|| PathBuf::from("fracas_campaigns.jsonl"), PathBuf::from)
-}
-
-/// The in-flight record-sink path from `FRACAS_SINK` (default: the
-/// database path with a `.wal` suffix appended).
-pub fn sink_path() -> PathBuf {
-    std::env::var_os("FRACAS_SINK").map_or_else(|| with_suffix(&db_path(), ".wal"), PathBuf::from)
-}
-
-/// The campaign configuration from the environment, with the harness
-/// default of 60 injections per scenario.
-pub fn config() -> CampaignConfig {
-    let mut config = CampaignConfig::from_env();
-    if std::env::var_os("FRACAS_FAULTS").is_none() {
-        config.faults = 60;
-    }
-    config
-}
-
-/// The sweep configuration from the environment: [`config`] plus the
-/// ε/confidence knobs, with progress lines enabled.
-pub fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        campaign: config(),
-        progress: true,
-        ..FleetConfig::from_env()
-    }
-}
-
 /// Loads the shared database, sweeps any of `scenarios` not yet present
-/// through the fleet orchestrator (one shared worker pool, record sink
-/// at [`sink_path`], progress on stderr), appends the results and saves
-/// the file.
+/// through the fleet orchestrator (one shared worker pool, record
+/// sink, progress on stderr), appends the results and saves the file.
+/// The configuration and both paths come from the environment
+/// ([`cli::SweepOpts::from_env`]).
 ///
 /// # Panics
 ///
@@ -85,7 +39,9 @@ pub fn fleet_config() -> FleetConfig {
 /// unreadable/corrupt — both indicate a broken installation rather than
 /// user input.
 pub fn ensure_db(scenarios: &[Scenario]) -> Database {
-    run_sweep(scenarios, &fleet_config(), &db_path(), &sink_path())
+    let opts = cli::SweepOpts::from_env();
+    let db = opts.db_path();
+    run_sweep(scenarios, &opts.fleet_config(), &db, &opts.sink_path(&db))
 }
 
 /// The orchestrated sweep behind [`ensure_db`] with explicit paths and
@@ -96,8 +52,10 @@ pub fn ensure_db(scenarios: &[Scenario]) -> Database {
 ///
 /// # Panics
 ///
-/// Panics if a bundled scenario fails to build, the database file is
-/// corrupt or cannot be saved, or the sink file cannot be opened (see
+/// Panics, before any work is done, if the database file exists but
+/// cannot be read or parsed (a missing file is an empty database); and
+/// if a bundled scenario fails to build, the database cannot be saved,
+/// or the sink file cannot be opened (see
 /// [`fracas::inject::RecordSink::open`]).
 pub fn run_sweep(
     scenarios: &[Scenario],
@@ -108,7 +66,8 @@ pub fn run_sweep(
     let mut db = match std::fs::read_to_string(db_path) {
         Ok(text) => Database::from_json_lines(&text)
             .unwrap_or_else(|e| panic!("corrupt database {}: {e}", db_path.display())),
-        Err(_) => Database::new(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Database::new(),
+        Err(e) => panic!("read database {}: {e}", db_path.display()),
     };
     let missing: Vec<&Scenario> = scenarios
         .iter()
@@ -268,13 +227,7 @@ pub fn pct_row(result: &CampaignResult) -> [f64; 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_has_harness_fault_count() {
-        if std::env::var_os("FRACAS_FAULTS").is_none() {
-            assert_eq!(config().faults, 60);
-        }
-    }
+    use fracas::inject::CampaignConfig;
 
     #[test]
     fn sweep_saves_whole_database_and_consumes_sink() {
@@ -308,9 +261,30 @@ mod tests {
     }
 
     #[test]
-    fn db_path_defaults() {
-        if std::env::var_os("FRACAS_DB").is_none() {
-            assert_eq!(db_path(), PathBuf::from("fracas_campaigns.jsonl"));
-        }
+    fn unreadable_database_fails_before_any_work_and_keeps_its_bytes() {
+        let dir = std::env::temp_dir().join(format!("fracas-bench-badutf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let db = dir.join("db.jsonl");
+        let sink = with_suffix(&db, ".wal");
+        let bytes = [0xff, 0xfe, b'{', 0x80, b'\n'];
+        std::fs::write(&db, bytes).expect("write database");
+        let scenario = Scenario::new(
+            fracas::npb::App::Is,
+            fracas::npb::Model::Serial,
+            1,
+            fracas::isa::IsaKind::Sira64,
+        )
+        .expect("scenario exists");
+        let swept = std::panic::catch_unwind(|| {
+            run_sweep(&[scenario], &FleetConfig::default(), &db, &sink)
+        });
+        let message = swept.expect_err("a non-UTF-8 database must not be replaced");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(message.contains(&db.display().to_string()), "{message}");
+        assert_eq!(std::fs::read(&db).expect("database kept"), bytes);
+        assert!(!sink.exists(), "no work was started");
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 }

@@ -82,8 +82,7 @@ impl Workload {
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Number of injections (the paper uses 8,000 per scenario; the
-    /// laptop default is environment-tunable via `FRACAS_FAULTS`).
+    /// Number of injections (the paper uses 8,000 per scenario).
     pub faults: usize,
     /// RNG seed (combined with the workload id per campaign).
     pub seed: u64,
@@ -96,43 +95,31 @@ pub struct CampaignConfig {
     pub batch: usize,
     /// Checkpoints captured during the golden run (between `checkpoints`
     /// and `2 * checkpoints` evenly spaced snapshots; 0 disables
-    /// checkpointing and every injection replays from boot). Tunable via
-    /// `FRACAS_CHECKPOINTS`.
+    /// checkpointing and every injection replays from boot).
     pub checkpoints: usize,
     /// The sampled fault space.
     pub space: FaultSpace,
-    /// Classify injections that land in a provably-dead window without
-    /// executing them (the `--prune-dead` mode): the golden run is
-    /// additionally traced and the `fracas-analyze` oracle decides
-    /// per-fault outcomes wherever the flipped bits provably die or
-    /// provably survive unread. Pruning never changes a single record —
-    /// databases are byte-identical with the mode on or off — so the
-    /// knob is deliberately excluded from orchestrator fingerprints.
-    /// Tunable via `FRACAS_PRUNE_DEAD`.
-    pub prune_dead: bool,
     /// Collapse the fault space into def→use interval equivalence
-    /// classes (the `--prune-classes` mode): oracle-decided faults
-    /// synthesize their verdict exactly as [`CampaignConfig::prune_dead`]
-    /// does, and live faults sharing coordinates and a landing interval
-    /// execute one representative whose record every member reuses.
-    /// Synthesis is exact (see `fracas_analyze::intervals`), so
-    /// databases stay byte-identical with the mode on or off — like
-    /// `prune_dead`, it is excluded from orchestrator fingerprints
-    /// except where auditing makes the sink's audit lines differ.
-    /// Tunable via `FRACAS_PRUNE_CLASSES`.
+    /// classes (the `--prune-classes` mode): the golden run is
+    /// additionally traced, faults the `fracas-analyze` oracle fully
+    /// decides (the flipped bits provably die, or provably survive
+    /// unread) synthesize their verdict with golden timing, and live
+    /// faults sharing coordinates and a landing interval execute one
+    /// representative whose record every member reuses. Synthesis is
+    /// exact (see `fracas_analyze::intervals`), so databases stay
+    /// byte-identical with the mode on or off, and the mode is excluded
+    /// from orchestrator fingerprints except where auditing makes the
+    /// sink's audit lines differ.
     pub prune_classes: bool,
-    /// Oracle-audit sampling rate in `[0, 1]` (`FRACAS_ORACLE_AUDIT`):
-    /// with [`CampaignConfig::prune_dead`] on, this fraction of the
-    /// oracle-pruned faults is *also* executed for real and the
-    /// classified outcome diffed against the verdict
-    /// ([`crate::OracleAuditReport`]). With
-    /// [`CampaignConfig::prune_classes`] the same fraction of
-    /// non-representative class members is executed and diffed against
-    /// their representative's classification. The audited execution
-    /// never replaces a synthesized record — databases stay
-    /// byte-identical at any rate — it only feeds the report. `0.0`
-    /// (default) disables auditing; without a prune mode there is
-    /// nothing to audit.
+    /// Oracle-audit sampling rate in `[0, 1]`: with
+    /// [`CampaignConfig::prune_classes`] on, this fraction of the
+    /// synthesized records (oracle-decided faults and non-representative
+    /// class members) is *also* executed for real and the classified
+    /// outcome diffed against the claimed one
+    /// ([`crate::OracleAuditReport`]). The audited execution never
+    /// replaces a synthesized record — databases stay byte-identical at
+    /// any rate — it only feeds the report. `0.0` (default) disables
+    /// auditing; without class pruning there is nothing to audit.
     pub oracle_audit: f64,
 }
 
@@ -146,7 +133,6 @@ impl Default for CampaignConfig {
             batch: 8,
             checkpoints: 16,
             space: FaultSpace::default(),
-            prune_dead: false,
             prune_classes: false,
             oracle_audit: 0.0,
         }
@@ -154,55 +140,11 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Reads `FRACAS_FAULTS`, `FRACAS_SEED`, `FRACAS_THREADS`,
-    /// `FRACAS_CHECKPOINTS`, `FRACAS_PRUNE_DEAD`,
-    /// `FRACAS_PRUNE_CLASSES` and `FRACAS_ORACLE_AUDIT` from the
-    /// environment over the defaults.
-    pub fn from_env() -> CampaignConfig {
-        let mut config = CampaignConfig::default();
-        if let Some(v) = env_u64("FRACAS_FAULTS") {
-            config.faults = v as usize;
-        }
-        if let Some(v) = env_u64("FRACAS_SEED") {
-            config.seed = v;
-        }
-        if let Some(v) = env_u64("FRACAS_THREADS") {
-            config.threads = v as usize;
-        }
-        if let Some(v) = env_u64("FRACAS_CHECKPOINTS") {
-            config.checkpoints = v as usize;
-        }
-        if let Some(v) = env_u64("FRACAS_PRUNE_DEAD") {
-            config.prune_dead = v != 0;
-        }
-        if let Some(v) = env_u64("FRACAS_PRUNE_CLASSES") {
-            config.prune_classes = v != 0;
-        }
-        if let Some(v) = env_f64("FRACAS_ORACLE_AUDIT") {
-            config.oracle_audit = v;
-        }
-        config
-    }
-
     /// Whether this configuration audits anything: a nonzero sampling
-    /// rate only matters when a prune mode produces claims to audit.
+    /// rate only matters when class pruning produces claims to audit.
     pub(crate) fn audits(&self) -> bool {
-        (self.prune_dead || self.prune_classes) && self.oracle_audit > 0.0
+        self.prune_classes && self.oracle_audit > 0.0
     }
-
-    /// Whether the golden run needs an execution trace (any prune mode
-    /// replays it through the oracle).
-    pub(crate) fn traces(&self) -> bool {
-        self.prune_dead || self.prune_classes
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-pub(crate) fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Golden-run reference data (phase one).
@@ -456,10 +398,11 @@ pub struct CampaignResult {
     pub tally: Tally,
     /// Every injection's record.
     pub records: Vec<InjectionRecord>,
-    /// Injections whose outcome the static/trace analysis proved without
-    /// executing them ([`CampaignConfig::prune_dead`]). A run-time
-    /// statistic, deliberately *not* serialized: pruning never changes a
-    /// record, so databases stay byte-identical with the mode on or off.
+    /// Injections whose outcome the trace oracle proved without
+    /// executing them (the decided faults of
+    /// [`CampaignConfig::prune_classes`]). A run-time statistic,
+    /// deliberately *not* serialized: pruning never changes a record, so
+    /// databases stay byte-identical with the mode on or off.
     #[serde(skip)]
     pub pruned: u64,
     /// The oracle-audit report ([`CampaignConfig::oracle_audit`]):
@@ -524,7 +467,7 @@ pub fn golden_trace(workload: &Workload) -> (RunReport, fracas_cpu::ExecTrace) {
 }
 
 /// [`golden_run_with_checkpoints`] with optional execution tracing for
-/// the [`CampaignConfig::prune_dead`] oracle. Tracing is a pure
+/// the [`CampaignConfig::prune_classes`] oracle. Tracing is a pure
 /// observer (excluded from snapshots), so the report, profile and every
 /// checkpoint are bit-identical whether `trace` is on or off.
 pub(crate) fn golden_run_traced(
@@ -691,14 +634,6 @@ mod tests {
         assert!((t.pct(Outcome::Vanished) - 50.0).abs() < 1e-12);
         assert!((t.pct(Outcome::Ut) - 25.0).abs() < 1e-12);
         assert!((t.masking_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn config_from_env_defaults() {
-        // Without env vars set, from_env equals the default.
-        let c = CampaignConfig::from_env();
-        assert_eq!(c.batch, CampaignConfig::default().batch);
-        assert_eq!(c.watchdog_factor, CampaignConfig::default().watchdog_factor);
     }
 
     #[test]

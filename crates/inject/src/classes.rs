@@ -4,13 +4,13 @@
 //! [`class_plan`] partitions a campaign's sampled fault list into
 //! equivalence classes keyed by [`Fingerprint`]: faults the oracle
 //! fully decides collapse by verdict (each synthesizes its own
-//! golden-timing record, exactly as `--prune-dead` would), and live
-//! faults sharing `(core, target, bit, width)` coordinates *and* a
-//! landing interval collapse onto one **representative** — the class's
-//! lowest fault index. The campaign executes only representatives (and
-//! singletons: unmodeled targets, cores the trace never saw); every
-//! other member synthesizes the representative's outcome, cycles and
-//! instruction count under its own fault coordinates.
+//! golden-timing record), and live faults sharing `(core, target, bit,
+//! width)` coordinates *and* a landing interval collapse onto one
+//! **representative** — the class's lowest fault index. The campaign
+//! executes only representatives (and singletons: unmodeled targets,
+//! cores the trace never saw); every other member synthesizes the
+//! representative's outcome, cycles and instruction count under its own
+//! fault coordinates.
 //!
 //! The soundness claim is *exactness*, not statistical
 //! interchangeability: by the interval argument (see
@@ -103,9 +103,8 @@ impl ClassStats {
 pub struct ClassPlan {
     /// `decided[i]`: the oracle-proven outcome of fault `i` (synthesized
     /// with golden timing), or `None` when it belongs to a live class or
-    /// runs as a singleton. Identical to the `--prune-dead` verdict
-    /// table, which is what keeps the dead-value subset byte-identical
-    /// under composition.
+    /// runs as a singleton. The campaign's `pruned` count is the number
+    /// of `Some` entries.
     pub decided: Vec<Option<Outcome>>,
     /// `rep[i]`: the representative index of fault `i`'s class.
     /// `rep[i] == i` for representatives, singletons and decided
@@ -199,8 +198,7 @@ pub fn class_plan(workload: &Workload, trace: &ExecTrace, faults: &[Fault]) -> C
             Decision::Oracle(core, target) => (core, target),
             Decision::Verdict(outcome) => {
                 // A static-only domain's provably-unapplied fault: the
-                // proven golden-timing outcome, exactly as
-                // `--prune-dead` synthesizes it.
+                // proven golden-timing outcome.
                 decided[i] = Some(outcome);
                 classes.push(FaultClass::Decided);
                 continue;

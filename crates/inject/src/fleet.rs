@@ -29,7 +29,7 @@
 //! * **Invariance.** A workload's database depends only on the workload,
 //!   the value-relevant campaign knobs (seed, fault budget, watchdog,
 //!   fault space) and the early-stopping settings. It is byte-identical
-//!   across thread counts, batch sizes, checkpoint settings, prune modes,
+//!   across thread counts, batch sizes, checkpoint settings, class pruning,
 //!   pool shape (alone or alongside other workloads) and kill/resume
 //!   boundaries.
 //! * **Panic isolation.** A panicking injection job becomes an
@@ -63,8 +63,6 @@ pub struct FleetConfig {
     /// (default) disables early stopping: every workload runs its whole
     /// fault list.
     pub epsilon: f64,
-    /// Critical value of the confidence interval (default 1.96 ≙ 95%).
-    pub z: f64,
     /// Minimum committed injections before early stopping may trigger,
     /// so tiny prefixes with degenerate intervals cannot stop a
     /// campaign (default 50).
@@ -79,7 +77,6 @@ impl Default for FleetConfig {
         FleetConfig {
             campaign: CampaignConfig::default(),
             epsilon: 0.0,
-            z: 1.96,
             min_samples: 50,
             progress: false,
         }
@@ -87,28 +84,10 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Reads the campaign knobs ([`CampaignConfig::from_env`]) plus
-    /// `FRACAS_EPSILON`, `FRACAS_Z` and `FRACAS_MIN_SAMPLES` from the
-    /// environment over the defaults.
-    pub fn from_env() -> FleetConfig {
-        let mut config = FleetConfig {
-            campaign: CampaignConfig::from_env(),
-            ..FleetConfig::default()
-        };
-        if let Some(v) = env_f64("FRACAS_EPSILON") {
-            config.epsilon = v;
-        }
-        if let Some(v) = env_f64("FRACAS_Z") {
-            config.z = v;
-        }
-        if let Some(v) = env_f64("FRACAS_MIN_SAMPLES") {
-            config.min_samples = v as usize;
-        }
-        config
-    }
+    /// Critical value of the early-stopping confidence interval
+    /// (1.96 ≙ 95%).
+    pub const Z: f64 = 1.96;
 }
-
-use crate::campaign::env_f64;
 
 /// One line of the sink file: an injection record or an oracle-audit
 /// entry, tagged with its workload id. An audited pruned fault emits
@@ -140,18 +119,18 @@ struct SinkHeader {
 }
 
 fn config_fingerprint(config: &CampaignConfig) -> u64 {
-    // `prune_dead` / `prune_classes` alone never change a record, so
-    // toggling them keeps the fingerprint (and a half-finished sink)
-    // valid. Auditing adds entries the resumed report must replay, so
-    // the *effective* rate (zero unless a prune mode is on) is part of
-    // the key — and under auditing the class mode is too, because class
-    // mode audits member faults the dead-value mode never would.
-    let audit = if config.audits() {
+    // `prune_classes` alone never changes a record, so toggling it keeps
+    // the fingerprint (and a half-finished sink) valid. Auditing adds
+    // entries the resumed report must replay, so the *effective* rate
+    // (zero unless class pruning is on) is part of the key. The key text
+    // is part of the sink format: earlier builds' sinks must keep
+    // resuming (see `default_fingerprint_is_pinned`).
+    let classes = config.audits();
+    let audit = if classes {
         config.oracle_audit.to_bits()
     } else {
         0
     };
-    let classes = config.audits() && config.prune_classes;
     let key = format!(
         "seed={};faults={};watchdog={};space={:?};audit={audit};classes={classes}",
         config.seed,
@@ -340,53 +319,6 @@ fn set_aside(path: &Path, found: Option<u64>, wanted: u64) -> std::io::Result<()
     Ok(())
 }
 
-/// Everything a campaign's prune modes decided about its fault list:
-/// the verdict table (dead-value short circuits), the optional
-/// equivalence-class plan and the unmodeled-target accounting.
-#[derive(Debug, Clone, Default)]
-struct CampaignPlan {
-    /// `verdicts[i]` short-circuits fault `i` without execution. Empty
-    /// when every prune mode is off.
-    verdicts: Vec<Option<Outcome>>,
-    /// The class plan ([`CampaignConfig::prune_classes`]).
-    classes: Option<crate::ClassPlan>,
-    /// Faults whose targets the oracle does not model (always executed
-    /// for real; surfaced by the audit report).
-    unmodeled: crate::UnmodeledCounts,
-}
-
-/// Builds the [`CampaignPlan`] for a campaign. With
-/// [`CampaignConfig::prune_classes`] the verdict table is the class
-/// plan's own decided table — byte-identical to what
-/// [`CampaignConfig::prune_dead`] alone computes, which is what keeps
-/// the dead-value subset stable under composition.
-fn campaign_plan(
-    workload: &Workload,
-    config: &CampaignConfig,
-    trace: Option<&fracas_cpu::ExecTrace>,
-    faults: &[Fault],
-) -> CampaignPlan {
-    if config.prune_classes {
-        let trace = trace.expect("prune_classes golden runs are traced");
-        let plan = crate::classes::class_plan(workload, trace, faults);
-        CampaignPlan {
-            verdicts: plan.decided.clone(),
-            unmodeled: plan.stats().unmodeled,
-            classes: Some(plan),
-        }
-    } else if config.prune_dead {
-        let trace = trace.expect("prune_dead golden runs are traced");
-        let (verdicts, unmodeled) = crate::prune::prune_plan(workload, trace, faults);
-        CampaignPlan {
-            verdicts,
-            classes: None,
-            unmodeled,
-        }
-    } else {
-        CampaignPlan::default()
-    }
-}
-
 /// Everything the golden job of one workload produces: the reference
 /// report and profile, the checkpoint ladder, the sampled fault list and
 /// the watchdog limits for the injection batches that follow.
@@ -396,10 +328,9 @@ struct GoldenJob {
     checkpoints: Arc<CheckpointSet>,
     faults: Vec<Fault>,
     limits: Limits,
-    /// Everything the prune modes decided about the fault list: the
-    /// verdict table, the optional equivalence-class plan and the
-    /// unmodeled-target counts. Default (all-empty) when pruning is off.
-    plan: CampaignPlan,
+    /// The equivalence-class plan of the fault list
+    /// ([`CampaignConfig::prune_classes`]); `None` when pruning is off.
+    plan: Option<crate::ClassPlan>,
     /// One write-once slot per fault index holding the executed record
     /// of a class representative ([`CampaignConfig::prune_classes`]):
     /// whichever worker first needs a representative — for its own
@@ -407,7 +338,8 @@ struct GoldenJob {
     /// so the class layer needs no scheduling of its own.
     cells: Vec<OnceLock<InjectionRecord>>,
     /// The per-workload campaign seed, from which
-    /// [`audit_selected`] derives the audited subset of pruned faults.
+    /// [`audit_selected`] derives the audited subset of synthesized
+    /// records.
     audit_seed: u64,
 }
 
@@ -484,7 +416,7 @@ fn advance_commit(slots: &mut Slots, config: &FleetConfig, stop_at: &AtomicUsize
         if config.epsilon > 0.0
             && slots.committed >= config.min_samples.max(1)
             && stop_at.load(Ordering::Relaxed) == NOT_STOPPED
-            && slots.prefix.max_wilson_half_width(config.z) < config.epsilon
+            && slots.prefix.max_wilson_half_width(FleetConfig::Z) < config.epsilon
         {
             stop_at.store(slots.committed, Ordering::Relaxed);
         }
@@ -643,11 +575,11 @@ fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink
     let campaign = &config.campaign;
     let job = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let (report, profile_map, checkpoints, trace) =
-            golden_run_traced(state.workload, campaign.checkpoints, campaign.traces());
+            golden_run_traced(state.workload, campaign.checkpoints, campaign.prune_classes);
         let profile = ProfileStats::from_run(&report, &profile_map);
         let faults = campaign_faults(state.workload, campaign, report.cycles);
         let limits = campaign_limits(&report, campaign);
-        let plan = campaign_plan(state.workload, campaign, trace.as_ref(), &faults);
+        let plan = trace.map(|trace| crate::classes::class_plan(state.workload, &trace, &faults));
         let cells = (0..faults.len()).map(|_| OnceLock::new()).collect();
         GoldenJob {
             report,
@@ -684,7 +616,7 @@ fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink
             // fresh ones field-for-field, and seed the representative
             // cells so members never re-execute a replayed
             // representative.
-            if let Some(classes) = &job.plan.classes {
+            if let Some(classes) = &job.plan {
                 if let Some(&rep) = classes.rep.get(i) {
                     if rep as usize == i {
                         let _ = job.cells[i].set(record);
@@ -815,28 +747,31 @@ fn run_injection_batch(
         let one = |f: &Fault| injector(state.workload, f, &golden.checkpoints, &golden.limits);
         // The record, plus the outcome it claims without executing its
         // own fault (an oracle verdict or a class representative's).
-        let (record, claim) = if let Some(Some(outcome)) = golden.plan.verdicts.get(index) {
-            (
-                pruned_record(&golden.report, fault, index, *outcome),
-                Some(*outcome),
-            )
-        } else if let Some(classes) = &golden.plan.classes {
-            // Class mode: execute the class representative (at most
-            // once, via its cell) and synthesize members from it. The
-            // representative's index never exceeds the member's, so an
-            // early-stopped prefix always contains every representative
-            // its members cite.
-            let rep = classes.rep[index] as usize;
-            let rep_record = golden.cells[rep]
-                .get_or_init(|| inject_record(&one, &golden.report, &golden.faults[rep], rep));
-            if rep == index {
-                (*rep_record, None)
-            } else {
-                let member = crate::classes::member_record(rep_record, fault, index);
-                (member, Some(rep_record.outcome))
-            }
-        } else {
-            (inject_record(&one, &golden.report, fault, index), None)
+        let (record, claim) = match golden.plan.as_ref() {
+            None => (inject_record(&one, &golden.report, fault, index), None),
+            Some(classes) => match classes.decided[index] {
+                Some(outcome) => (
+                    pruned_record(&golden.report, fault, index, outcome),
+                    Some(outcome),
+                ),
+                // Execute the class representative (at most once, via
+                // its cell) and synthesize members from it. The
+                // representative's index never exceeds the member's, so
+                // an early-stopped prefix always contains every
+                // representative its members cite.
+                None => {
+                    let rep = classes.rep[index] as usize;
+                    let rep_record = golden.cells[rep].get_or_init(|| {
+                        inject_record(&one, &golden.report, &golden.faults[rep], rep)
+                    });
+                    if rep == index {
+                        (*rep_record, None)
+                    } else {
+                        let member = crate::classes::member_record(rep_record, fault, index);
+                        (member, Some(rep_record.outcome))
+                    }
+                }
+            },
         };
         // Sampled audit: execute the synthesized record's fault for real
         // and diff its classified outcome against the claim — the
@@ -933,24 +868,28 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
             })
         })
         .collect();
-    // The prune statistic counts decided faults within the kept range —
-    // a pure function of the fault list, so it matches across thread
-    // counts and resumes even when some records were replayed from disk.
-    let verdicts = &golden.plan.verdicts;
-    let pruned = verdicts[..keep.min(verdicts.len())]
-        .iter()
-        .flatten()
-        .count() as u64;
-    // Like `pruned`, the report covers only the kept prefix, so an
+    // The class statistics (and the decided count among them) cover the
+    // kept range only — a pure function of the fault list, so they match
+    // across thread counts and resumes even when some records were
+    // replayed from disk.
+    let classes = golden.plan.as_ref().map(|c| c.stats_prefix(keep));
+    // Like the statistics, the report covers only the kept prefix, so an
     // early-stopped campaign's report matches across resumes even when
     // workers audited past the stop point before it was set.
-    let audit = config.campaign.audits().then(|| OracleAuditReport {
-        id: state.workload.id.clone(),
-        rate: config.campaign.oracle_audit,
-        entries: slots.audits.iter().take(keep).flatten().copied().collect(),
-        unmodeled: golden.plan.unmodeled.total(),
-        buckets: golden.plan.unmodeled,
-    });
+    let audit = golden
+        .plan
+        .as_ref()
+        .filter(|_| config.campaign.audits())
+        .map(|plan| {
+            let unmodeled = plan.stats().unmodeled;
+            OracleAuditReport {
+                id: state.workload.id.clone(),
+                rate: config.campaign.oracle_audit,
+                entries: slots.audits.iter().take(keep).flatten().copied().collect(),
+                unmodeled: unmodeled.total(),
+                buckets: unmodeled,
+            }
+        });
     let mut tally = Tally::default();
     for r in &records {
         tally.record(r.outcome);
@@ -968,9 +907,9 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
         profile: golden.profile,
         tally,
         records,
-        pruned,
+        pruned: classes.map_or(0, |c| u64::from(c.decided)),
         audit,
-        classes: golden.plan.classes.as_ref().map(|c| c.stats_prefix(keep)),
+        classes,
     }
 }
 
@@ -1007,7 +946,6 @@ mod tests {
     fn default_config_disables_early_stopping() {
         let c = FleetConfig::default();
         assert_eq!(c.epsilon, 0.0);
-        assert!((c.z - 1.96).abs() < 1e-12);
         assert_eq!(c.min_samples, 50);
     }
 
@@ -1031,27 +969,17 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(config_fingerprint(&base), config_fingerprint(&resized));
-        // The audit rate only bites when auditing is effective (prune on,
-        // rate > 0): a rate set without pruning keeps the fingerprint, so
-        // toggling `--prune-dead` alone still resumes the same sink.
+        // The audit rate only bites when auditing is effective (class
+        // pruning on, rate > 0): a rate set without pruning keeps the
+        // fingerprint, and so does class pruning without a rate — the
+        // mode alone never changes a record. Under auditing the mode
+        // decides which faults get audit lines, so the sink must not be
+        // resumed across the toggle.
         let idle_audit = CampaignConfig {
             oracle_audit: 0.25,
             ..base.clone()
         };
         assert_eq!(config_fingerprint(&base), config_fingerprint(&idle_audit));
-        let pruned = CampaignConfig {
-            prune_dead: true,
-            ..base.clone()
-        };
-        let audited = CampaignConfig {
-            prune_dead: true,
-            oracle_audit: 0.25,
-            ..base.clone()
-        };
-        assert_ne!(config_fingerprint(&pruned), config_fingerprint(&audited));
-        // Same story for class pruning: the mode alone never changes a
-        // record, but under auditing it changes which faults get audit
-        // lines, so the sink must not be resumed across the toggle.
         let classed = CampaignConfig {
             prune_classes: true,
             ..base.clone()
@@ -1060,15 +988,19 @@ mod tests {
         let classed_audited = CampaignConfig {
             prune_classes: true,
             oracle_audit: 0.25,
-            ..base
+            ..base.clone()
         };
-        assert_ne!(
-            config_fingerprint(&audited),
-            config_fingerprint(&classed_audited)
-        );
         assert_ne!(
             config_fingerprint(&classed),
             config_fingerprint(&classed_audited)
+        );
+        let reaudited = CampaignConfig {
+            oracle_audit: 0.5,
+            ..classed_audited.clone()
+        };
+        assert_ne!(
+            config_fingerprint(&classed_audited),
+            config_fingerprint(&reaudited)
         );
     }
 
@@ -1080,6 +1012,13 @@ mod tests {
             config_fingerprint(&CampaignConfig::default()),
             0x085d_39d7_b183_9a87
         );
+        // So must audited class-pruned sinks (the CI audit recipe's rate).
+        let audited = CampaignConfig {
+            prune_classes: true,
+            oracle_audit: 0.05,
+            ..CampaignConfig::default()
+        };
+        assert_eq!(config_fingerprint(&audited), 0xe426_33d2_bf20_094e);
     }
 
     /// A writer standing in for a full disk: every write fails.

@@ -19,14 +19,18 @@
 //!   kernel snapshots ([`CheckpointSet`]); each injection resumes from
 //!   the latest one strictly before its fault cycle instead of
 //!   replaying from boot, bit-identically (gem5-style checkpointing).
-//! * **Provably-masked pruning**: with [`CampaignConfig::prune_dead`],
-//!   a trace-exact dead-value oracle (`fracas-analyze`) classifies
-//!   injections whose bit is overwritten before ever being read —
-//!   without executing them, and byte-identically to the full campaign.
+//! * **Equivalence-class pruning**: with
+//!   [`CampaignConfig::prune_classes`] the golden run is traced and the
+//!   fault list collapsed ([`class_plan`]). Faults a trace-exact
+//!   dead-value oracle (`fracas-analyze`) decides — the flipped bit is
+//!   overwritten before it is read, or provably survives unread — are
+//!   classified without executing them, and live faults sharing a
+//!   def→use interval execute one representative per class. Both are
+//!   byte-identical to the full campaign.
 //! * **Sampled oracle auditing**: with [`CampaignConfig::oracle_audit`]
-//!   (`FRACAS_ORACLE_AUDIT=<rate>`) a deterministic, seed-derived
-//!   fraction of the pruned faults is *also* executed for real and the
-//!   classified outcome diffed against the oracle's verdict
+//!   a deterministic, seed-derived fraction of the synthesized records
+//!   (decided faults and class members) is *also* executed for real and
+//!   the classified outcome diffed against the claimed one
 //!   ([`OracleAuditReport`]); a mismatch fails the sweep.
 //! * **Distribution** (§3.2.4): one executor, the fleet orchestrator
 //!   ([`run_fleet`]), claims the golden runs and injection batches of
@@ -86,4 +90,4 @@ pub use fault::{
 pub use fleet::{
     run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
 };
-pub use prune::{prune_plan, prune_table, prune_target, Unmodeled, UnmodeledCounts};
+pub use prune::{prune_target, Unmodeled, UnmodeledCounts};

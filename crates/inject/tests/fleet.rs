@@ -121,7 +121,7 @@ fn early_stopped_tally_contains_full_campaign_proportions() {
     for class in Outcome::ALL_WITH_ANOMALY {
         let p_stop = stopped.tally.pct(class) / 100.0;
         let p_full = full.tally.pct(class) / 100.0;
-        let half = stopped.tally.wilson_half_width(class, stop_config.z);
+        let half = stopped.tally.wilson_half_width(class, FleetConfig::Z);
         assert!(half < stop_config.epsilon, "{class}: {half}");
         // Wilson intervals are centred slightly off p̂; comparing
         // against p̂ ± half-width keeps the check conservative.
@@ -290,7 +290,7 @@ fn audit_report_survives_kill_and_resume_bit_identically() {
     let config = FleetConfig {
         campaign: CampaignConfig {
             faults: 50,
-            prune_dead: true,
+            prune_classes: true,
             oracle_audit: 0.5,
             ..CampaignConfig::default()
         },

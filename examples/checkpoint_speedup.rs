@@ -8,14 +8,15 @@
 //! cargo run --release --example checkpoint_speedup
 //! ```
 //!
-//! `FRACAS_FAULTS` and `FRACAS_CHECKPOINTS` tune the workload.
+//! It runs the library's default campaign configuration
+//! (`CampaignConfig::default()`).
 
 use fracas::inject::{golden_run_with_checkpoints, inject_one, sample_faults};
 use fracas::prelude::*;
 use std::time::Instant;
 
 fn main() {
-    let config = CampaignConfig::from_env();
+    let config = CampaignConfig::default();
 
     // Pick the first candidate whose golden run is long enough that
     // boot-replay visibly hurts (>= 100k cycles).
