@@ -499,9 +499,10 @@ pub(crate) fn golden_run_traced(
 /// Executes one injection: resumes from the latest checkpoint strictly
 /// before the fault cycle (falling back to a fresh boot when none
 /// qualifies), runs to the injection point, lands the flip and runs the
-/// workload out. If the faulty run's state re-equals a golden
-/// checkpoint shortly after injection ([`CheckpointSet::try_reconverge`]),
-/// the remainder is pruned and the golden report returned directly.
+/// workload out. For a domain probed for reconvergence, if the faulty
+/// run's state re-equals the golden checkpoint at any later mark
+/// ([`CheckpointSet::try_reconverge`]), the remainder is pruned and the
+/// golden report returned directly.
 /// With [`CheckpointSet::empty`] this is exactly the boot-and-replay
 /// path; all paths produce bit-identical reports.
 pub fn inject_one(
@@ -576,8 +577,9 @@ pub fn campaign_faults(
     )
 }
 
-/// The faulty-run watchdog limits derived from the golden reference.
-pub(crate) fn campaign_limits(golden: &RunReport, config: &CampaignConfig) -> Limits {
+/// The faulty-run watchdog limits a campaign derives from its golden
+/// reference.
+pub fn campaign_limits(golden: &RunReport, config: &CampaignConfig) -> Limits {
     Limits {
         max_cycles: ((golden.cycles as f64 * config.watchdog_factor) as u64)
             .max(golden.cycles + 100_000),

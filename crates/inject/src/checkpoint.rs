@@ -10,19 +10,22 @@
 //! that invariant honest with a differential comparison.
 //!
 //! On top of resume, the same ladder enables *reconvergence pruning*
-//! ([`CheckpointSet::try_reconverge`]): after a register or flag fault
-//! lands, the faulty run is paused at the next few checkpoint marks and
-//! its complete state is compared against the golden snapshot taken at
-//! the same mark. A hit proves the flipped bit left no trace — the
-//! remainder of the run *is* the golden remainder, so the golden report
-//! is returned without executing it. Physical memory makes that compare
-//! affordable: capture records which pages each golden segment wrote,
-//! `PhysMem` tracks pages the faulty run wrote since its restore point,
-//! and only the union needs comparing — every other page is untouched
-//! on both sides since the restore snapshot. Most register faults in
-//! the paper's campaigns vanish (dead or masked bits), which is what
-//! pushes the overall campaign speedup past the ~2x asymptote
-//! prefix-skipping alone can reach.
+//! ([`CheckpointSet::try_reconverge`]): after a fault lands in a domain
+//! the registry marks for probing ([`crate::Domain::ephemeral`]), the
+//! faulty run is paused at every later checkpoint mark and its complete
+//! state — registers, scheduler, caches, store-buffer and cache-line
+//! fault overlays, and the touched memory pages — is compared against
+//! the golden snapshot taken at the same mark. A hit proves the flipped
+//! bit left no trace — the remainder of the run *is* the golden
+//! remainder, so the golden report is returned without executing it.
+//! Physical memory makes that compare affordable: capture records which
+//! pages each golden segment wrote, `PhysMem` tracks pages the faulty
+//! run wrote since its restore point (a drained store-buffer strike
+//! included), and only the union needs comparing — every other page is
+//! untouched on both sides since the restore snapshot. Most register
+//! faults and nearly all cache-data strikes vanish (dead, masked or
+//! evicted unread), which is what pushes the overall campaign speedup
+//! past the ~2x asymptote prefix-skipping alone can reach.
 
 use fracas_kernel::{Kernel, KernelSnapshot, Limits, RunOutcome, RunReport};
 use fracas_mem::PageSet;
@@ -31,12 +34,6 @@ use fracas_mem::PageSet;
 /// workloads still get a useful ladder; the stride doubles adaptively
 /// for long ones.
 const INITIAL_STRIDE: u64 = 4096;
-
-/// How many checkpoint marks past the injection point are probed for
-/// golden reconvergence. Dead-bit faults are typically overwritten
-/// within a stride or two; runs that have not reconverged by then
-/// rarely do, and every extra probe costs a (cheap) state compare.
-const RECONVERGE_PROBES: usize = 2;
 
 /// One rung of the checkpoint ladder.
 #[derive(Debug, Clone)]
@@ -178,12 +175,13 @@ impl CheckpointSet {
     }
 
     /// Golden-reconvergence pruning: advances the freshly injected
-    /// `kernel` to the next `RECONVERGE_PROBES` checkpoint marks and
-    /// compares its complete state against the golden snapshot captured
-    /// at each mark. On a match the fault has provably left no trace —
-    /// the continuation is by determinism the golden continuation — so
-    /// the stored golden report is returned and the caller skips the
-    /// rest of the run.
+    /// `kernel` through every later checkpoint mark and compares its
+    /// complete state against the golden snapshot captured at each
+    /// mark. The walk is bounded by the ladder: at most twice the
+    /// `target` it was captured with. On a match the fault has provably
+    /// left no trace — the continuation is by determinism the golden
+    /// continuation — so the stored golden report is returned and the
+    /// caller skips the rest of the run.
     ///
     /// `resumed_from` is the ladder index the kernel was restored from
     /// (`None` for a fresh boot). It anchors the memory bound: pages
@@ -210,7 +208,6 @@ impl CheckpointSet {
         let resumed_at = kernel.machine().max_cycles();
         let first = resumed_from.map_or(0, |i| i + 1);
         let mut golden_dirty = PageSet::default();
-        let mut probes = 0;
         for rung in &self.snaps[first.min(self.snaps.len())..] {
             // Always accumulate: the memory bound must cover every
             // golden segment between the restore rung and the compare
@@ -226,10 +223,6 @@ impl CheckpointSet {
             touched.union_with(&golden_dirty);
             if kernel.state_matches_within(&rung.snap, &touched) {
                 return Some(golden.report.clone());
-            }
-            probes += 1;
-            if probes == RECONVERGE_PROBES {
-                break;
             }
         }
         None

@@ -5,7 +5,7 @@
 //! fault: how many bits its state contributes to the uniform sampling
 //! space, how a sampled offset becomes a concrete target, how the flip
 //! lands on a paused [`Kernel`], which core's clock times it, whether
-//! the struck state is short-lived enough to probe for golden
+//! its faults reconverge often enough to probe for golden
 //! reconvergence, what the adjacent-bit (MBU) wrap modulus is, and what
 //! the prune oracle can say about it. `sample_faults*`, `Fault::apply`,
 //! `Fault::timing_core`, `prune_target`, the class planner and the
@@ -209,8 +209,12 @@ pub struct Domain {
     pub flag: Option<&'static str>,
     /// Where the domain's bits sit in the space layout.
     pub placement: Placement,
-    /// Whether the struck state is short-lived enough that probing for
-    /// golden reconvergence after injection pays off.
+    /// Whether to probe for golden reconvergence after injection
+    /// ([`crate::CheckpointSet::try_reconverge`]). Probing is always
+    /// exact; the flag is a cost choice, set by measurement: it is on
+    /// for the domains whose faults reconverge often enough that the
+    /// probes pay for themselves, and off for those that never, or
+    /// almost never, do (EXPERIMENTS.md, "Reconvergence probes").
     pub ephemeral: bool,
     /// Whether the [`FaultSpace`] enables this domain.
     pub enabled: fn(&FaultSpace) -> bool,
@@ -624,10 +628,11 @@ static DOMAINS: [Domain; 10] = [
         name: "storebuf",
         flag: Some("storebuf"),
         placement: Placement::Tail,
-        // A pending store lives at most a handful of instructions, but
-        // a drained corruption persists in memory indefinitely — the
-        // long tail rules reconvergence probing out.
-        ephemeral: false,
+        // A pending store lives a handful of instructions. A strike
+        // that drains over memory stays visible in its page until the
+        // program rewrites it; one whose entry is dropped (a valid-bit
+        // strike) leaves no trace and reconverges.
+        ephemeral: true,
         enabled: |s| s.storebuf,
         enable: |s| s.storebuf = true,
         bits: storebuf_bits,
@@ -662,7 +667,9 @@ static DOMAINS: [Domain; 10] = [
         name: "cachedata",
         flag: Some("cachedata"),
         placement: Placement::Tail,
-        ephemeral: false,
+        // Nearly every strike is evicted or overwritten unread, which
+        // removes its overlay; the state then matches golden again.
+        ephemeral: true,
         enabled: |s| s.cachedata,
         enable: |s| s.cachedata = true,
         bits: cachedata_bits,

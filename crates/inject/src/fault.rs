@@ -143,13 +143,14 @@ impl Fault {
         (domain_of(&self.target).timing_core)(&self.target)
     }
 
-    /// True when the fault strikes short-lived architectural state
-    /// (registers, flags, the skip latch) that the program routinely
-    /// overwrites — the targets worth probing for golden reconvergence.
-    /// Memory, text and uncore bits are long-lived: a flip there
-    /// persists until (if ever) that exact location is rewritten, so
-    /// probing would pay full state-compare cost with almost no chance
-    /// of a match.
+    /// True when the fault's domain is probed for golden reconvergence
+    /// after injection (the registry's
+    /// [`crate::domain::Domain::ephemeral`] flag, set by measurement):
+    /// registers, flags, the skip latch, store-buffer entries and
+    /// cache-line data, whose strikes the program routinely overwrites,
+    /// drops or evicts unread. Memory, text, cache metadata and kernel
+    /// control are not probed: their faults never, or almost never,
+    /// reconverge, so a probe would only cost time.
     pub fn targets_ephemeral_state(&self) -> bool {
         domain_of(&self.target).ephemeral
     }

@@ -74,9 +74,9 @@ mod prune;
 
 pub use audit::{audit_selected, AuditEntry, OracleAuditReport};
 pub use campaign::{
-    campaign_faults, golden_only, golden_run, golden_run_with_checkpoints, golden_trace,
-    inject_one, run_campaign, CampaignConfig, CampaignResult, GoldenSummary, InjectionRecord,
-    ProfileStats, Tally, Workload,
+    campaign_faults, campaign_limits, golden_only, golden_run, golden_run_with_checkpoints,
+    golden_trace, inject_one, run_campaign, CampaignConfig, CampaignResult, GoldenSummary,
+    InjectionRecord, ProfileStats, Tally, Workload,
 };
 pub use checkpoint::CheckpointSet;
 pub use classes::{class_plan, weighted_tally, ClassPlan, ClassStats};

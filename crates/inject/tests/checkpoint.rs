@@ -3,8 +3,8 @@
 //! boot, across all three programming models.
 
 use fracas_inject::{
-    golden_run_with_checkpoints, inject_one, run_campaign, sample_faults, CampaignConfig,
-    CheckpointSet, Workload,
+    campaign_faults, campaign_limits, golden_run_with_checkpoints, inject_one, run_campaign,
+    sample_faults, CampaignConfig, CheckpointSet, FaultSpace, Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_kernel::{Kernel, Limits};
@@ -58,6 +58,67 @@ fn assert_bit_identical(app: App, model: Model, cores: u32, faults: usize) {
         "{}: no fault resumed from a checkpoint",
         workload.id
     );
+}
+
+/// Store-buffer and cache-data faults, probed for reconvergence at
+/// every later rung: checkpointed `inject_one` must equal boot replay
+/// fault by fault. The probe is also driven directly, so the test
+/// counts its hits and fails if none landed (a vacuous pass).
+fn assert_value_domains_bit_identical(app: App, model: Model, cores: u32, faults: usize) {
+    let scenario = Scenario::new(app, model, cores, IsaKind::Sira64).unwrap();
+    let workload = Workload::from_scenario(&scenario).unwrap();
+    let (golden, _, checkpoints) = golden_run_with_checkpoints(&workload, 8);
+    let mut space = FaultSpace::only("storebuf");
+    space.cachedata = true;
+    let config = CampaignConfig {
+        faults,
+        space,
+        ..CampaignConfig::default()
+    };
+    let limits = campaign_limits(&golden, &config);
+    let boot_only = CheckpointSet::empty();
+    let mut hits = 0;
+    for fault in campaign_faults(&workload, &config, golden.cycles) {
+        assert!(fault.targets_ephemeral_state(), "{fault:?} is not probed");
+        let via_checkpoint = inject_one(&workload, &fault, &checkpoints, &limits);
+        let via_boot = inject_one(&workload, &fault, &boot_only, &limits);
+        assert_eq!(
+            via_checkpoint, via_boot,
+            "{}: fault {fault:?} diverged between checkpoints and boot replay",
+            workload.id
+        );
+        let resumed = checkpoints.nearest_before(fault.timing_core(), fault.cycle);
+        let mut kernel = match resumed {
+            Some((_, snap)) => Kernel::restore(snap),
+            None => Kernel::boot(&workload.image, workload.cores, workload.spec),
+        };
+        if kernel
+            .run_until_core_cycle(fault.timing_core(), fault.cycle, &limits)
+            .is_none()
+        {
+            fault.apply(&mut kernel);
+            let rung = resumed.map(|(i, _)| i);
+            if let Some(report) = checkpoints.try_reconverge(&mut kernel, rung, &limits) {
+                assert_eq!(report, via_boot, "{}: false hit for {fault:?}", workload.id);
+                hits += 1;
+            }
+        }
+    }
+    assert!(
+        hits > 0,
+        "{}: no value-domain fault reconverged",
+        workload.id
+    );
+}
+
+#[test]
+fn ep_serial_value_domain_probes_match_boot_replay() {
+    assert_value_domains_bit_identical(App::Ep, Model::Serial, 1, 40);
+}
+
+#[test]
+fn is_mpi_value_domain_probes_match_boot_replay() {
+    assert_value_domains_bit_identical(App::Is, Model::Mpi, 2, 40);
 }
 
 /// Every rung of a captured ladder — all but the first built

@@ -1222,6 +1222,55 @@ mod tests {
     }
 
     #[test]
+    fn struck_line_evicted_unread_compares_equal_again() {
+        let mem = PhysMem::new(1 << 16);
+        let mut golden = MemSystem::new(1, small());
+        golden.data_read(0, 0, 4);
+        let mut faulty = golden.clone();
+        let slot = resident_l1d_slot(&faulty, 0);
+        faulty
+            .flip_data_bit(MemSystem::UNIT_L1D, 0, slot, 9, &mem)
+            .unwrap();
+        assert_ne!(faulty, golden, "the overlay is part of the state");
+        // The same two conflicting reads on both sides evict line 0
+        // before anything reads the struck byte.
+        let set_stride = 8 * 64;
+        for m in [&mut golden, &mut faulty] {
+            m.data_read(0, set_stride, 4);
+            m.data_read(0, 2 * set_stride, 4);
+        }
+        assert_eq!(faulty, golden, "the strike left no trace");
+    }
+
+    #[test]
+    fn drained_store_buffer_strike_dirties_its_page_and_never_matches() {
+        let mut golden_mem = PhysMem::new(1 << 16);
+        let mut golden = MemSystem::new(1, small());
+        golden_mem.write_u32(0x3000, 6).unwrap();
+        golden.data_write(0, 0x3000, 4, 6, &mut golden_mem);
+        let (mut mem, mut faulty) = (golden_mem.clone(), golden.clone());
+        // Dirty tracking restarts at the common point, as it does when a
+        // faulty run restores a checkpoint.
+        mem.clear_dirty();
+        faulty.flip_storebuf(0, 0, 40).unwrap(); // data bit 8
+        for (m, mem) in [(&mut golden, &mut golden_mem), (&mut faulty, &mut mem)] {
+            m.drain_store_buffer(0, mem);
+            mem.write_u32(0x8000, 1).unwrap();
+            m.data_write(0, 0x8000, 4, 1, mem);
+            m.drain_store_buffer(0, mem);
+        }
+        // The drain emptied the diff: the hierarchies agree, and the
+        // corruption now lives only in memory.
+        assert_eq!(faulty, golden);
+        assert_eq!(mem.read_u32(0x3000).unwrap(), 6 ^ 0x100);
+        let page = 0x3000 / crate::phys::SNAP_PAGE;
+        assert!(mem.dirty_pages().contains(page), "the drain marks its page");
+        let rung = golden_mem.snapshot();
+        assert!(!mem.matches_snapshot_within(&rung, mem.dirty_pages()));
+        assert!(!mem.matches_snapshot(&rung));
+    }
+
+    #[test]
     fn l2_strike_propagates_down_with_the_fill() {
         let mut mem = PhysMem::new(1 << 16);
         mem.write_u32(0, 10).unwrap();

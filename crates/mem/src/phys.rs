@@ -448,7 +448,7 @@ impl PageSet {
 
 /// Page granularity of [`MemSnapshot`] (independent of the MMU's
 /// [`crate::PAGE_SIZE`]; chosen for snapshot compactness).
-const SNAP_PAGE: usize = 4096;
+pub(crate) const SNAP_PAGE: usize = 4096;
 
 /// A sparse, immutable copy of a [`PhysMem`] at one instant: the memory
 /// size plus every page that held a nonzero byte, sorted by offset.

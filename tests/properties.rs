@@ -305,10 +305,12 @@ proptest! {
         );
     }
 
-    /// The registry's per-domain timing and ephemerality rules reproduce
-    /// the historical hard-coded ones for the legacy domains: core-local
-    /// targets time against their own core and are ephemeral; memory and
-    /// text targets time against core 0 and persist.
+    /// The registry's per-domain timing rules reproduce the historical
+    /// hard-coded ones for the legacy domains (core-local targets time
+    /// against their own core, memory and text against core 0), and its
+    /// reconvergence-probe flags are the measured set: registers, flags,
+    /// the skip latch, store-buffer entries and cache-line data are
+    /// probed; memory, text, cache metadata and kernel control are not.
     #[test]
     fn registry_timing_and_ephemerality_match_legacy_rules(
         domain_idx in 0usize..fracas_inject::domains().len(),
@@ -322,17 +324,33 @@ proptest! {
         prop_assert!(bits > 0);
         let target = (domain.make)(&dims, core, offset % bits);
         let fault = fracas_inject::Fault { target, cycle: 0, width: 1 };
-        let legacy = match target {
+        let legacy_timing = match target {
             FaultTarget::Gpr { core, .. }
             | FaultTarget::Fpr { core, .. }
-            | FaultTarget::Flag { core, .. } => Some((core as usize, true)),
-            FaultTarget::Mem { .. } | FaultTarget::Text { .. } => Some((0, false)),
+            | FaultTarget::Flag { core, .. } => Some(core as usize),
+            FaultTarget::Mem { .. } | FaultTarget::Text { .. } => Some(0),
             _ => None,
         };
-        if let Some((timing, ephemeral)) = legacy {
+        if let Some(timing) = legacy_timing {
             prop_assert_eq!(fault.timing_core(), timing);
-            prop_assert_eq!(fault.targets_ephemeral_state(), ephemeral);
         }
+        let probed = match target {
+            FaultTarget::Gpr { .. }
+            | FaultTarget::Fpr { .. }
+            | FaultTarget::Flag { .. }
+            | FaultTarget::InstrSkip { .. }
+            | FaultTarget::StoreBuf { .. }
+            | FaultTarget::CacheData { .. } => true,
+            FaultTarget::Mem { .. }
+            | FaultTarget::Text { .. }
+            | FaultTarget::CacheState { .. }
+            | FaultTarget::RunQueue { .. }
+            | FaultTarget::PagePerm { .. } => false,
+        };
+        prop_assert_eq!(
+            fault.targets_ephemeral_state(), probed,
+            "domain {} probe flag", domain.name
+        );
     }
 }
 
